@@ -16,6 +16,7 @@ from .hilbert import (
 from .measurement import (
     MeasurementOutcome,
     RefinementObservable,
+    RegisterReadout,
     SemanticsMode,
     born_probability,
     build_refinement,
@@ -37,6 +38,7 @@ __all__ = [
     "tensor_state",
     "MeasurementOutcome",
     "RefinementObservable",
+    "RegisterReadout",
     "SemanticsMode",
     "born_probability",
     "build_refinement",

@@ -2,10 +2,10 @@
 
 Deutsch-Jozsa and Simon are implemented from their final superposition
 states (the preceding gate sequence is irrelevant to the measurement
-analysis); Grover runs the standard phase-flip/diffusion iteration. All
-final readouts use the diagonal argument-register observable, which is
-nondegenerate on the register it measures, so every algorithm behaves
-identically under both collapse semantics.
+analysis); Grover runs the standard phase-flip/diffusion iteration. Every
+final readout is the computational-basis readout of the argument register
+(`RegisterReadout`), which is nondegenerate on the register it measures, so
+every algorithm behaves identically under both collapse semantics.
 """
 from __future__ import annotations
 
@@ -17,11 +17,23 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import FullRank, InvalidMarkedSet, InvalidOracle, RankDeficient
-from .hilbert import Observable, StateVector
-from .measurement import SemanticsMode, measure, partial_measure, partial_probabilities
+from .errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle, RankDeficient
+from .hilbert import MAX_DIM, Observable, StateVector
+from .measurement import RegisterReadout, SemanticsMode
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_MAX_QUBITS = MAX_DIM.bit_length() - 1
+
+
+def _check_width(n: int, qubits: int) -> None:
+    """Reject an n-bit register whose state of `qubits` qubits would exceed
+    MAX_DIM, before any oracle table or amplitude array is allocated."""
+    if n < 1:
+        raise DimensionMismatch(f"register width must be >= 1, got {n}")
+    if qubits > _MAX_QUBITS:
+        raise DimensionMismatch(
+            f"n={n} needs {qubits} qubits; the dimension cap {MAX_DIM} allows {_MAX_QUBITS}"
+        )
 
 
 class BooleanOracle:
@@ -84,10 +96,12 @@ class BooleanOracle:
 
 
 def constant_oracle(n: int, value: int = 0) -> BooleanOracle:
+    _check_width(n, n + 1)
     return BooleanOracle.deutsch_jozsa(n, np.full(2 ** n, value, dtype=np.int64))
 
 
 def balanced_oracle(n: int, rng: np.random.Generator) -> BooleanOracle:
+    _check_width(n, n + 1)
     table = np.zeros(2 ** n, dtype=np.int64)
     table[rng.permutation(2 ** n)[: 2 ** (n - 1)]] = 1
     return BooleanOracle.deutsch_jozsa(n, table)
@@ -96,6 +110,7 @@ def balanced_oracle(n: int, rng: np.random.Generator) -> BooleanOracle:
 def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> BooleanOracle:
     """2-to-1 oracle with hidden period s; image values are coset labels,
     shuffled when an rng is supplied."""
+    _check_width(n, 2 * n)
     if not 0 < s < 2 ** n:
         raise InvalidOracle(f"hidden period must be a nonzero {n}-bit value, got {s}")
     values = np.arange(2 ** n, dtype=np.int64)
@@ -122,6 +137,8 @@ def save_oracle(oracle: BooleanOracle, path) -> None:
 
 
 def load_oracle(path, kind: str) -> BooleanOracle:
+    if kind not in ("dj", "simon"):
+        raise InvalidOracle(f"unknown oracle kind {kind!r}")
     entries = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -138,15 +155,14 @@ def load_oracle(path, kind: str) -> BooleanOracle:
             n = len(parts[0])
     if not entries:
         raise InvalidOracle(f"{path}: empty oracle file")
+    _check_width(n, n + 1 if kind == "dj" else 2 * n)
     size = 2 ** n
     if sorted(entries) != list(range(size)):
         raise InvalidOracle(f"{path}: need exactly one line per {n}-bit input")
     table = np.array([entries[x] for x in range(size)], dtype=np.int64)
     if kind == "dj":
         return BooleanOracle.deutsch_jozsa(n, table)
-    if kind == "simon":
-        return BooleanOracle.simon(n, table)
-    raise InvalidOracle(f"unknown oracle kind {kind!r}")
+    return BooleanOracle.simon(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +170,10 @@ def load_oracle(path, kind: str) -> BooleanOracle:
 
 @lru_cache(maxsize=None)
 def argument_observable(n: int) -> Observable:
-    """Diagonal register readout: eigenvalue z on basis state |z>."""
+    """Diagonal register readout: eigenvalue z on basis state |z>.
+
+    Dense reference for `RegisterReadout`, which the drivers use instead.
+    """
     if n < 1:
         raise ValueError("register width must be >= 1")
     return Observable(np.diag(np.arange(2 ** n, dtype=np.float64)), (2 ** n,))
@@ -179,15 +198,12 @@ class DJResult:
 
 def deutsch_jozsa(oracle: BooleanOracle, mode: SemanticsMode, rng: np.random.Generator) -> DJResult:
     n = oracle.n
-    state = dj_final_state(oracle).reshaped((2 ** n, 2))
-    obs = argument_observable(n)
-    probs = partial_probabilities(obs, 0, state)
-    outcome = partial_measure(obs, 0, state, mode, rng)
-    z = int(round(outcome.eigenvalue))
+    readout = RegisterReadout(dj_final_state(oracle).reshaped((2 ** n, 2)), 0)
+    z = int(round(readout.measure(mode, rng).eigenvalue))
     return DJResult(
         verdict="constant" if z == 0 else "balanced",
         sampled_z=z,
-        zero_probability=float(probs[0]),
+        zero_probability=float(readout.probabilities[0]),
     )
 
 
@@ -281,15 +297,13 @@ def simon(
     n = oracle.n
     if max_samples < n - 1:
         raise ValueError(f"max_samples={max_samples} < n-1={n - 1}")
-    state = simon_final_state(oracle).reshaped((2 ** n, 2 ** n))
-    obs = argument_observable(n)
+    readout = RegisterReadout(simon_final_state(oracle).reshaped((2 ** n, 2 ** n)), 0)
     system = Gf2System(width=n)
     samples = []
     for _ in range(max_samples):
         if system.rank() == n - 1:
             break
-        outcome = partial_measure(obs, 0, state, mode, rng)
-        j = int(round(outcome.eigenvalue))
+        j = int(round(readout.measure(mode, rng).eigenvalue))
         samples.append(j)
         system.add(_bits(j, n))
     if system.rank() != n - 1:
@@ -322,6 +336,7 @@ def grover_iterations(n: int, marked_count: int) -> int:
 def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> GroverResult:
     """Standard Grover search over 2^n items; reports the sampled index and
     the exact Born probability of landing in the marked set."""
+    _check_width(n, n)
     size = 2 ** n
     marked = sorted(set(int(m) for m in marked))
     if not marked or len(marked) >= size:
@@ -332,7 +347,7 @@ def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> Gro
     amps = kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters)
     state = StateVector(amps, (size,))
     marked_prob = float(np.sum(np.abs(amps[marked]) ** 2))
-    outcome = measure(argument_observable(n), state, mode, rng)
+    outcome = RegisterReadout(state, 0).measure(mode, rng)
     found = int(round(outcome.eigenvalue))
     return GroverResult(
         found=found,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, algorithms, protocols
 from .errors import PostulateSimError
-from .hilbert import Observable, StateVector, tensor_state
+from .hilbert import Observable, StateVector
 from .measurement import SemanticsMode, born_probabilities, measure
 
 SCHEMA = "postulate-sim/1"
@@ -62,6 +62,8 @@ def _state_json(state: StateVector) -> list[list[float]]:
 
 
 def _input_qubit(alpha: complex, beta: complex) -> StateVector:
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise PostulateSimError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if norm == 0:
         raise PostulateSimError("alpha and beta cannot both be zero")
@@ -140,13 +142,8 @@ def _run_teleport(args) -> tuple[dict, int]:
             entry["fidelity"] = float(fid)
         trials.append(entry)
 
-    born = {
-        kind.label: float(
-            born_probabilities(protocols.lifted_bell_observable(),
-                               _teleport_total(psi))[kind.value]
-        )
-        for kind in protocols.BellKind
-    }
+    probs = born_probabilities(protocols.lifted_bell_observable(), protocols.teleport_input(psi))
+    born = {kind.label: float(probs[kind.value]) for kind in protocols.BellKind}
     payload = {
         "born_probabilities": born,
         "outcomes": trials,
@@ -159,11 +156,6 @@ def _run_teleport(args) -> tuple[dict, int]:
         },
     }
     return payload, EXIT_OK if blocked is None else EXIT_BLOCKED
-
-
-def _teleport_total(psi: StateVector) -> StateVector:
-    bell = protocols.bell_state(protocols.BellKind.PHI_PLUS)
-    return tensor_state(psi, bell).reshaped((4, 2))
 
 
 def _dj_oracle(args) -> algorithms.BooleanOracle:
@@ -294,7 +286,7 @@ def _config_echo(args) -> dict:
 
 def emit_report(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines = [f"postulate-sim {report['version']} :: {report['config']['command']} "
              f"(mode={report['config']['mode']}, seed={report['config']['seed']}, "
              f"trials={report['config']['trials']})"]
@@ -325,10 +317,15 @@ def main(argv=None) -> int:
         parser.error("--trials must be >= 1")
     try:
         report, code = run(args)
+        # allow_nan=False: a non-finite number is an error, not a report
+        text = emit_report(report, args.format)
     except (PostulateSimError, OSError, ValueError) as exc:
         print(f"postulate-sim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(emit_report(report, args.format))
+    except MemoryError as exc:
+        print(f"postulate-sim: error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

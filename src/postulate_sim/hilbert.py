@@ -9,7 +9,6 @@ degeneracy is an explicit, queryable property.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -23,8 +22,8 @@ MAX_DIM = 2 ** 16
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
         raise DimensionMismatch(f"invalid subsystem dimensions {dims}")
     return dims
 
@@ -45,8 +44,9 @@ class StateVector:
             )
         if amps.size > MAX_DIM:
             raise DimensionMismatch(f"total dimension {amps.size} exceeds cap {MAX_DIM}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        # a NaN norm fails every comparison, so test finiteness explicitly
+        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise PostulateSimError(f"state not normalized: |psi| = {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -58,14 +58,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    @classmethod
-    def from_unnormalized(cls, amplitudes, dims=None) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(amps)
-        if norm == 0.0:
-            raise PostulateSimError("cannot normalize the zero vector")
-        return cls(amps / norm, dims)
 
     @classmethod
     def basis(cls, index: int, dims) -> "StateVector":
@@ -114,7 +106,7 @@ class SpectralDecomposition:
     def projection_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         """|P_i psi|^2 for every eigenvalue, via the eigenbasis blocks."""
         return np.array(
-            [float(np.sum(np.abs(b.conj().T @ amplitudes) ** 2)) for b in self.blocks]
+            [float((np.abs(b.conj().T @ amplitudes) ** 2).sum()) for b in self.blocks]
         )
 
     def project(self, amplitudes: np.ndarray, index: int) -> np.ndarray:
@@ -160,10 +152,6 @@ class Observable:
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states; subsystem dims concatenate."""
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
-
-
-def tensor_many(states) -> StateVector:
-    return reduce(tensor_state, states)
 
 
 def tensor_op(a: Observable, b: Observable) -> Observable:

@@ -11,7 +11,9 @@ Two collapse rules are implemented side by side:
 
 Partial measurement of a locally nondegenerate observable follows the
 composite-space Born rule for probabilities and always pins the measured
-subsystem to the outcome eigenstate.
+subsystem to the outcome eigenstate. `RegisterReadout` is the special case of
+a computational-basis readout, computed from the amplitudes without building
+the diagonal observable.
 """
 from __future__ import annotations
 
@@ -135,17 +137,27 @@ def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
 
 
 def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with the given probabilities; never a zero-probability one."""
+    """Draw an index with the given probabilities; never a zero-probability one.
+
+    One uniform draw, scaled by the total, is located in the running sum. A
+    draw that rounding puts at or past the last partial sum falls back to the
+    last nonzero index.
+    """
+    probabilities = np.asarray(probabilities, dtype=np.float64)
     r = rng.random() * float(np.sum(probabilities))
-    acc = 0.0
-    last_nonzero = 0
-    for i, p in enumerate(probabilities):
-        if p > 0.0:
-            last_nonzero = i
-            acc += p
-            if r < acc:
-                return i
-    return last_nonzero
+    idx = int(np.searchsorted(np.cumsum(probabilities), r, side="right"))
+    if idx == probabilities.size:
+        nonzero = np.flatnonzero(probabilities)
+        idx = int(nonzero[-1]) if nonzero.size else 0
+    return idx
+
+
+def _choose(probabilities: np.ndarray, rng, force_index: Optional[int]) -> int:
+    if force_index is None:
+        return sample_index(probabilities, rng)
+    if not 0 <= force_index < len(probabilities):
+        raise IndexOutOfRange(f"forced index {force_index} out of range")
+    return force_index
 
 
 def measure(
@@ -163,12 +175,7 @@ def measure(
     _check_state(a, psi)
     dec = a.decomposition
     probs = dec.projection_norms_sq(psi.amplitudes)
-    if force_index is not None:
-        if not 0 <= force_index < len(probs):
-            raise IndexOutOfRange(f"forced index {force_index} out of range")
-        idx = force_index
-    else:
-        idx = sample_index(probs, rng)
+    idx = _choose(probs, rng, force_index)
     return _build_outcome(dec, psi, mode, idx, probs[idx])
 
 
@@ -208,28 +215,32 @@ def _build_outcome(
 def lift(a: Observable, subsystem: int, dims) -> Observable:
     """Embed a local observable as I x ... x a x ... x I on the composite space."""
     dims = tuple(int(d) for d in dims)
-    if not 0 <= subsystem < len(dims):
-        raise IndexOutOfRange(f"subsystem {subsystem} out of range for dims {dims}")
+    before, after = _split(dims, subsystem)
     if a.dim != dims[subsystem]:
         raise DimensionMismatch(
             f"operator dim {a.dim} != subsystem dim {dims[subsystem]}"
         )
-    before = math.prod(dims[:subsystem])
-    after = math.prod(dims[subsystem + 1:])
     mat = np.kron(np.kron(np.eye(before), a.matrix), np.eye(after))
     return Observable(mat, dims)
 
 
-def partial_probabilities(a: Observable, subsystem: int, psi: StateVector) -> np.ndarray:
-    """Born probabilities of a local measurement: |(E_j x I) psi|^2 per eigenvalue."""
-    dec, mat = _local_context(a, subsystem, psi)
-    return _local_probs(dec, mat)
-
-
-def _local_context(a: Observable, subsystem: int, psi: StateVector):
-    dims = psi.dims
+def _split(dims, subsystem: int) -> tuple[int, int]:
+    """Dimensions of the factors before and after the given subsystem."""
     if not 0 <= subsystem < len(dims):
         raise IndexOutOfRange(f"subsystem {subsystem} out of range for dims {dims}")
+    return math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
+
+
+def partial_probabilities(a: Observable, subsystem: int, psi: StateVector) -> np.ndarray:
+    """Born probabilities of a local measurement: |(E_j x I) psi|^2 per eigenvalue."""
+    return _local_components(a, subsystem, psi)[2]
+
+
+def _local_components(a: Observable, subsystem: int, psi: StateVector):
+    """Local eigenbasis (columns), components comps[j] = (<alpha_j| x I) psi of
+    shape (d, before, after), and their Born probabilities."""
+    dims = psi.dims
+    before, after = _split(dims, subsystem)
     if a.dim != dims[subsystem]:
         raise DimensionMismatch(
             f"operator dim {a.dim} != subsystem dim {dims[subsystem]}"
@@ -240,18 +251,12 @@ def _local_context(a: Observable, subsystem: int, psi: StateVector):
             "local observable is degenerate on its own subsystem; "
             "measure the lifted operator instead"
         )
-    before = math.prod(dims[:subsystem])
-    after = math.prod(dims[subsystem + 1:])
     # (before, d, after) with the measured factor on its own axis
     mat = psi.amplitudes.reshape(before, a.dim, after)
-    return dec, mat
-
-
-def _local_probs(dec: SpectralDecomposition, mat: np.ndarray) -> np.ndarray:
     # vectors of the nondegenerate local basis, columns -> (d, d)
     basis = np.hstack(dec.blocks)
     comps = np.einsum("dj,bda->jba", basis.conj(), mat)
-    return np.sum(np.abs(comps) ** 2, axis=(1, 2))
+    return basis, comps, np.sum(np.abs(comps) ** 2, axis=(1, 2))
 
 
 def partial_measure(
@@ -271,23 +276,26 @@ def partial_measure(
     the rest of the system is nontrivial, so the composite post-state is then
     left undetermined.
     """
-    dec, mat = _local_context(a, subsystem, psi)
-    basis = np.hstack(dec.blocks)
-    comps = np.einsum("dj,bda->jba", basis.conj(), mat)
-    probs = np.sum(np.abs(comps) ** 2, axis=(1, 2))
-    if force_index is not None:
-        if not 0 <= force_index < len(probs):
-            raise IndexOutOfRange(f"forced index {force_index} out of range")
-        idx = force_index
-    else:
-        idx = sample_index(probs, rng)
-
-    rest_dim = psi.dim // a.dim
-    local_vec = phase_normalize(basis[:, idx])
-    local_state = StateVector(local_vec, (a.dim,))
-
+    basis, comps, probs = _local_components(a, subsystem, psi)
+    idx = _choose(probs, rng, force_index)
     # |alpha_j> x phi, reassembled in the original axis order
     projected = np.einsum("d,ba->bda", basis[:, idx], comps[idx]).reshape(-1)
+    return _local_outcome(psi, subsystem, mode, float(a.decomposition.eigenvalues[idx]),
+                          probs[idx], projected, basis[:, idx])
+
+
+def _local_outcome(
+    psi: StateVector,
+    subsystem: int,
+    mode: SemanticsMode,
+    eigenvalue: float,
+    probability: float,
+    projected: np.ndarray,
+    local_vec: np.ndarray,
+) -> MeasurementOutcome:
+    """Outcome of a locally nondegenerate measurement with eigenvector
+    `local_vec`, given the composite projection (E_j x I) psi."""
+    rest_dim = psi.dim // local_vec.size
     norm = np.linalg.norm(projected)
     lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
 
@@ -302,22 +310,55 @@ def partial_measure(
     dims = psi.dims
 
     def lifted_projector():
-        p_local = np.outer(basis[:, idx], basis[:, idx].conj())
-        before = math.prod(dims[:subsystem])
-        after = math.prod(dims[subsystem + 1:])
+        p_local = np.outer(local_vec, local_vec.conj())
+        before, after = _split(dims, subsystem)
         return np.kron(np.kron(np.eye(before), p_local), np.eye(after))
 
     return MeasurementOutcome(
-        eigenvalue=float(dec.eigenvalues[idx]),
-        probability=float(probs[idx]),
+        eigenvalue=eigenvalue,
+        probability=float(probability),
         determined=determined,
         mode=mode,
         post_state=post,
         projector_fn=lifted_projector,
         projector_rank=rest_dim,
         lueders_post_state=None if determined else lueders,
-        subsystem_post_state=local_state,
+        subsystem_post_state=StateVector(phase_normalize(local_vec), (local_vec.size,)),
     )
+
+
+class RegisterReadout:
+    """Computational-basis readout of one subsystem: eigenvalue k on |k>.
+
+    This is `partial_measure` with the diagonal observable diag(0..d-1),
+    without building it: the Born probabilities are the marginal of |psi|^2
+    over the other subsystems, computed once here and shared by every
+    `measure` call, and the Lueders post-state is the slice of the outcome
+    index. The readout is nondegenerate on its subsystem, so strict von
+    Neumann determines the composite post-state only when the subsystem is
+    the whole space.
+    """
+
+    def __init__(self, psi: StateVector, subsystem: int):
+        before, after = _split(psi.dims, subsystem)
+        self.psi = psi
+        self.subsystem = subsystem
+        self._mat = psi.amplitudes.reshape(before, psi.dims[subsystem], after)
+        self.probabilities = np.sum(np.abs(self._mat) ** 2, axis=(0, 2))
+
+    def measure(
+        self,
+        mode: SemanticsMode,
+        rng: np.random.Generator,
+        force_index: Optional[int] = None,
+    ) -> MeasurementOutcome:
+        idx = _choose(self.probabilities, rng, force_index)
+        projected = np.zeros_like(self._mat)
+        projected[:, idx, :] = self._mat[:, idx, :]
+        local_vec = np.zeros(self.probabilities.size, dtype=np.complex128)
+        local_vec[idx] = 1.0
+        return _local_outcome(self.psi, self.subsystem, mode, float(idx),
+                              self.probabilities[idx], projected.reshape(-1), local_vec)
 
 
 def build_refinement(a: Observable) -> RefinementObservable:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import Observable, StateVector, phase_normalize, tensor_state
+from .hilbert import Observable, StateVector, phase_normalize
 from .measurement import MeasurementOutcome, SemanticsMode, lift, measure
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -55,7 +55,9 @@ class TeleportResult:
     probability: float
 
 
+@lru_cache(maxsize=None)
 def bell_state(kind: BellKind) -> StateVector:
+    """The Bell state of the given kind; one shared instance per kind (states are immutable)."""
     amps = {
         BellKind.PHI_PLUS: [1, 0, 0, 1],
         BellKind.PHI_MINUS: [1, 0, 0, -1],
@@ -92,6 +94,13 @@ def lifted_bell_observable() -> Observable:
     return lift(bell_basis_observable(), 0, (4, 2))
 
 
+def teleport_input(psi_in: StateVector) -> StateVector:
+    """|psi>|Phi+>, the sender's two qubits grouped into one 4-dim factor."""
+    # the outer product of two vectors, flattened, is their Kronecker product
+    return StateVector(np.outer(psi_in.amplitudes, bell_state(BellKind.PHI_PLUS).amplitudes),
+                       (4, 2))
+
+
 def teleport(
     psi_in: StateVector,
     mode: SemanticsMode,
@@ -101,9 +110,7 @@ def teleport(
     """Run one teleportation trial; `force_outcome` pins the Bell branch."""
     if psi_in.dim != 2:
         raise ValueError("teleport expects a single-qubit input state")
-    total = tensor_state(psi_in.reshaped((2,)), bell_state(BellKind.PHI_PLUS))
-    # sender's two qubits grouped into one 4-dim factor, receiver keeps the last
-    total = total.reshaped((4, 2))
+    total = teleport_input(psi_in)
 
     observable = lifted_bell_observable()
     force_index = None if force_outcome is None else force_outcome.value

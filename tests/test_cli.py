@@ -1,4 +1,11 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +14,38 @@ from postulate_sim import algorithms as alg
 from postulate_sim import cli
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# address-space cap of a child: enough for the interpreter and numpy, so a
+# regression that allocates a huge array fails the test instead of the machine
+AS_LIMIT = 2 ** 30
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, timeout=60.0):
+    """Run `postulate-sim argv` in a child under RLIMIT_AS; return its exit code,
+    stdout, stderr and peak RSS in KiB (the child's own rusage, from wait4)."""
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT})); "
+            "from postulate_sim.cli import main; sys.exit(main())")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                                stdin=subprocess.DEVNULL, stdout=out, stderr=err)
+        timer = threading.Timer(timeout, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss
 
 
 class TestTeleportCommand:
@@ -147,6 +182,54 @@ class TestErrors:
 
     def test_dj_without_inputs_exit_1(self, capsys):
         assert cli.main(["dj"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("grover", "--n", "40", "--marked", "1"),
+        ("dj", "--n", "-1"),
+        ("dj", "--n", "40"),
+        ("simon", "--n", "20", "--period", "1"),
+        ("dj", "--oracle", "{oracle40}"),
+        ("simon", "--oracle", "{oracle40}"),
+        ("teleport", "--alpha", "nan,0", "--beta", "1,0"),
+        ("measure", "--alpha", "inf,0", "--beta", "1,0"),
+    ], ids="_".join)
+    def test_rejected_before_allocation(self, tmp_path, argv):
+        oracle40 = tmp_path / "wide.txt"
+        oracle40.write_text("0" * 40 + " 1\n")
+        argv = [a.format(oracle40=oracle40) for a in argv]
+        code, out, err, _ = run_cli_process(*argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.startswith("postulate-sim: error: ") and len(err.splitlines()) == 1
+
+    def test_memory_error_exit_1(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+        monkeypatch.setitem(cli._RUNNERS, "grover", exhausted)
+        code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
+        assert (code, out) == (1, "")
+        assert "out of memory" in err
+
+    def test_non_finite_report_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._RUNNERS, "grover", lambda args: ({"x": float("nan")}, 0))
+        code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("postulate-sim: error: ")
+
+
+def test_grover_at_dimension_cap():
+    """n = 16 fills the 2^16 cap; the register readout needs no 2^16 x 2^16 operator."""
+    n, marked = 16, [4660, 51966]
+    code, out, err, peak_kib = run_cli_process(
+        "grover", "--n", str(n), "--marked", ",".join(map(str, marked)), "--trials", "3")
+    assert code == 0, err
+    report = json.loads(out)
+    k = math.floor(math.pi / 4 * math.sqrt(2 ** n / len(marked)))
+    theta = math.asin(math.sqrt(len(marked) / 2 ** n))
+    assert report["iterations"] == k
+    assert report["marked_probability"] == pytest.approx(math.sin((2 * k + 1) * theta) ** 2,
+                                                         abs=1e-10)
+    assert peak_kib < 200 * 1024
 
 
 class TestEmitReport:

@@ -40,6 +40,11 @@ class TestStateVector:
         with pytest.raises(PostulateSimError):
             StateVector([1, 1])
 
+    @pytest.mark.parametrize("amps", [[np.nan, 0], [np.inf, 0], [np.nan, 1]])
+    def test_rejects_non_finite(self, amps):
+        with pytest.raises(PostulateSimError):
+            StateVector(amps)
+
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             StateVector([1, 0, 0], (2, 2))

@@ -7,7 +7,9 @@ from postulate_sim.errors import (
     IndexOutOfRange,
 )
 from postulate_sim.hilbert import Observable, StateVector, phase_equal, tensor_op, tensor_state
+from postulate_sim.algorithms import argument_observable
 from postulate_sim.measurement import (
+    RegisterReadout,
     SemanticsMode,
     born_probability,
     born_probabilities,
@@ -16,6 +18,7 @@ from postulate_sim.measurement import (
     measure,
     partial_measure,
     partial_probabilities,
+    sample_index,
 )
 from postulate_sim.protocols import BellKind, bell_basis_observable, bell_state
 
@@ -288,3 +291,120 @@ class TestBuildRefinement:
             comm = a.matrix @ ref.refined.matrix - ref.refined.matrix @ a.matrix
             assert np.max(np.abs(comm)) < 1e-9
             np.testing.assert_allclose(ref.apply_map(), a.matrix, atol=1e-9)
+
+
+def loop_sample_index(probabilities, r01):
+    """Reference sampler: the running-sum loop the vectorized sampler replaces."""
+    r = r01 * float(np.sum(probabilities))
+    acc = 0.0
+    last_nonzero = 0
+    for i, p in enumerate(probabilities):
+        if p > 0.0:
+            last_nonzero = i
+            acc += p
+            if r < acc:
+                return i
+    return last_nonzero
+
+
+class FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestSampleIndex:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(12)
+        draws = [0.0, 0.5, 1.0 - 2.0 ** -53]
+        for _ in range(300):
+            p = rng.random(int(rng.integers(1, 40))) ** 3
+            p[rng.random(p.size) < 0.4] = 0.0
+            draws.append(float(rng.random()))
+            for r01 in draws[-4:]:
+                assert sample_index(p, FixedDraw(r01)) == loop_sample_index(p, r01)
+
+    def test_rounded_total_falls_back_to_last_nonzero(self):
+        # pairwise np.sum gives 1.0 where the running sum stops at 1 - 2^-53
+        p = np.array([0.1] * 10 + [0.0, 0.0])
+        r01 = 1.0 - 2.0 ** -53
+        assert r01 * float(np.sum(p)) >= np.cumsum(p)[-1]
+        assert sample_index(p, FixedDraw(r01)) == loop_sample_index(p, r01) == 9
+
+    def test_never_zero_probability(self):
+        p = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        rng = np.random.default_rng(0)
+        assert {sample_index(p, rng) for _ in range(200)} == {1, 3}
+
+
+# register layouts of 1-4 qubits, measured first, in the middle and last
+REGISTER_LAYOUTS = [
+    ((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2),
+    ((4, 2, 2), 0), ((2, 4, 2), 1), ((2, 2, 4), 2),
+    ((8, 2), 0), ((2, 8, 2), 1), ((2, 8), 1),
+    ((16, 2), 0), ((2, 16, 2), 1), ((2, 16), 1),
+]
+
+
+def assert_same_state(a, b):
+    if a is None or b is None:
+        assert a is b
+    else:
+        assert a.dims == b.dims
+        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestRegisterReadout:
+    """RegisterReadout against the dense diagonal observable it replaces."""
+
+    @pytest.mark.parametrize("dims,subsystem", REGISTER_LAYOUTS)
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_matches_partial_measure(self, dims, subsystem, mode):
+        psi = random_state(np.random.default_rng(sum(dims) + subsystem), int(np.prod(dims)), dims)
+        k = int(np.log2(dims[subsystem]))
+        dense = argument_observable(k)
+        readout = RegisterReadout(psi, subsystem)
+        np.testing.assert_array_equal(readout.probabilities,
+                                      partial_probabilities(dense, subsystem, psi))
+        for seed, force in enumerate([None] * 5 + list(range(dims[subsystem]))):
+            got = readout.measure(mode, np.random.default_rng(seed), force_index=force)
+            ref = partial_measure(dense, subsystem, psi, mode, np.random.default_rng(seed),
+                                  force_index=force)
+            assert got.eigenvalue == ref.eigenvalue
+            assert got.probability == ref.probability
+            assert got.determined == ref.determined == (mode is LUEDERS)
+            assert got.projector_rank == ref.projector_rank
+            assert_same_state(got.post_state, ref.post_state)
+            assert_same_state(got.lueders_post_state, ref.lueders_post_state)
+            assert_same_state(got.subsystem_post_state, ref.subsystem_post_state)
+            np.testing.assert_array_equal(got.eigenprojector, ref.eigenprojector)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_full_register_matches_measure(self, k, mode):
+        psi = random_state(np.random.default_rng(k), 2 ** k, (2 ** k,))
+        dense = argument_observable(k)
+        readout = RegisterReadout(psi, 0)
+        np.testing.assert_array_equal(readout.probabilities, born_probabilities(dense, psi))
+        for seed, force in enumerate([None] * 5 + list(range(2 ** k))):
+            got = readout.measure(mode, np.random.default_rng(seed), force_index=force)
+            ref = measure(dense, psi, mode, np.random.default_rng(seed), force_index=force)
+            assert got.eigenvalue == ref.eigenvalue
+            assert got.probability == ref.probability
+            assert got.determined and ref.determined
+            assert got.projector_rank == ref.projector_rank == 1
+            assert got.lueders_post_state is None and ref.lueders_post_state is None
+            assert phase_equal(got.post_state, ref.post_state, 1e-12)
+            np.testing.assert_array_equal(got.subsystem_post_state.amplitudes,
+                                          np.eye(2 ** k)[int(got.eigenvalue)])
+            np.testing.assert_array_equal(got.eigenprojector, ref.eigenprojector)
+
+    def test_subsystem_out_of_range(self):
+        with pytest.raises(IndexOutOfRange):
+            RegisterReadout(bell_state(BellKind.PHI_PLUS), 2)
+
+    def test_forced_index_out_of_range(self):
+        with pytest.raises(IndexOutOfRange):
+            RegisterReadout(bell_state(BellKind.PHI_PLUS), 0).measure(LUEDERS, None, force_index=2)
