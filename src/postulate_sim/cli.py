@@ -64,7 +64,11 @@ def _state_json(state: StateVector) -> list[list[float]]:
 def _input_qubit(alpha: complex, beta: complex) -> StateVector:
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise PostulateSimError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
-    norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    try:
+        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:
+        raise PostulateSimError(
+            f"amplitudes too large to normalize: alpha={alpha}, beta={beta}") from None
     if norm == 0:
         raise PostulateSimError("alpha and beta cannot both be zero")
     if abs(norm - 1.0) > 1e-6:

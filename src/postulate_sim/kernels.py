@@ -1,106 +1,50 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Numeric kernels of the Deutsch-Jozsa, Simon and Grover algorithms, in numpy.
 
-Every kernel exists in two forms: a pure-numpy implementation and a numba
-``@njit`` loop version. The njit path is used when numba imports and the
-environment variable ``POSTULATE_SIM_PURE_NUMPY`` is unset/empty; setting it
-to any nonempty value forces the numpy path (useful for debugging and for
-the benchmark in benchmarks/bench_kernels.py, which times both).
+The Deutsch-Jozsa and Simon amplitudes are Walsh-Hadamard transforms of
+integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
+Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
+sign matrix. Every sum is an exact integer before the final division by 2^n.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = not os.environ.get("POSTULATE_SIM_PURE_NUMPY")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
 
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-def _bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of bits, row x = binary digits of x (MSB first)."""
-    x = np.arange(2 ** n, dtype=np.uint32)
-    return ((x[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int64)
+def _fwht(table: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis 0 (length 2^n):
+    out[z] = sum_x (-1)^popcount(x & z) table[x], by n in-place butterfly
+    passes over a copy."""
+    out = np.array(table, dtype=np.int64)
+    size = out.shape[0]
+    h = 1
+    while h < size:
+        pairs = out.reshape(size // (2 * h), 2, h, *out.shape[1:])
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi        # x + y
+        hi *= -2
+        hi += lo        # x - y
+        h *= 2
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Deutsch-Jozsa argument-register amplitudes:
-#   amp[z] = 2^-n * sum_x (-1)^(popcount(x & z) + f(x))
-
-def dj_argument_amplitudes_numpy(f_table: np.ndarray) -> np.ndarray:
-    n = int(np.log2(len(f_table)))
-    bits = _bit_matrix(n)
-    signs = 1 - 2 * ((bits @ bits.T) % 2)  # (-1)^(x.z), shape (2^n, 2^n)
-    f_signs = 1 - 2 * f_table.astype(np.int64)
-    return (signs * f_signs[None, :]).sum(axis=1) / float(2 ** n)
+def dj_argument_amplitudes(f_table: np.ndarray) -> np.ndarray:
+    """Deutsch-Jozsa argument-register amplitudes:
+    amp[z] = 2^-n * sum_x (-1)^(popcount(x & z) + f(x))."""
+    return _fwht(1 - 2 * np.asarray(f_table, dtype=np.int64)) / len(f_table)
 
 
-@njit(cache=True)
-def dj_argument_amplitudes_njit(f_table: np.ndarray) -> np.ndarray:
+def simon_state_amplitudes(f_table: np.ndarray) -> np.ndarray:
+    """Simon output amplitudes on (argument x function) registers, flattened:
+    amp[j, v] = 2^-n * sum_{k : f(k) = v} (-1)^popcount(j & k)."""
     size = len(f_table)
-    out = np.zeros(size, dtype=np.float64)
-    for z in range(size):
-        acc = 0.0
-        for x in range(size):
-            parity = 0
-            v = x & z
-            while v:
-                parity ^= 1
-                v &= v - 1
-            if parity ^ (f_table[x] & 1):
-                acc -= 1.0
-            else:
-                acc += 1.0
-        out[z] = acc
-    return out / size
+    one_hot = np.zeros((size, size), dtype=np.int64)
+    one_hot[np.arange(size), f_table] = 1
+    return _fwht(one_hot).reshape(-1) / size
 
 
-# ---------------------------------------------------------------------------
-# Simon output-state amplitudes on (argument x function) registers:
-#   amp[j, f(k)] += 2^-n * (-1)^(popcount(j & k))
-
-def simon_state_amplitudes_numpy(f_table: np.ndarray) -> np.ndarray:
-    size = len(f_table)
-    n = int(np.log2(size))
-    bits = _bit_matrix(n)
-    signs = (1 - 2 * ((bits @ bits.T) % 2)).astype(np.float64)  # S[j, k]
-    amps_t = np.zeros((size, size), dtype=np.float64)  # [f-value, j]
-    np.add.at(amps_t, f_table.astype(np.int64), signs.T)
-    return amps_t.T.reshape(-1) / size
-
-
-@njit(cache=True)
-def simon_state_amplitudes_njit(f_table: np.ndarray) -> np.ndarray:
-    size = len(f_table)
-    out = np.zeros(size * size, dtype=np.float64)
-    for j in range(size):
-        for k in range(size):
-            parity = 0
-            v = j & k
-            while v:
-                parity ^= 1
-                v &= v - 1
-            if parity:
-                out[j * size + f_table[k]] -= 1.0
-            else:
-                out[j * size + f_table[k]] += 1.0
-    return out / size
-
-
-# ---------------------------------------------------------------------------
-# Grover amplitude iteration: phase-flip marked entries, then invert about
-# the mean, `iterations` times, starting from the uniform superposition.
-
-def grover_amplitudes_numpy(n: int, marked: np.ndarray, iterations: int) -> np.ndarray:
+def grover_amplitudes(n: int, marked: np.ndarray, iterations: int) -> np.ndarray:
+    """Grover iteration from the uniform superposition: phase-flip the marked
+    entries, then invert about the mean, `iterations` times."""
     size = 2 ** n
     amps = np.full(size, 1.0 / np.sqrt(size))
     for _ in range(iterations):
@@ -109,24 +53,9 @@ def grover_amplitudes_numpy(n: int, marked: np.ndarray, iterations: int) -> np.n
     return amps
 
 
-@njit(cache=True)
-def grover_amplitudes_njit(n: int, marked: np.ndarray, iterations: int) -> np.ndarray:
-    size = 2 ** n
-    amps = np.full(size, 1.0 / np.sqrt(size))
-    for _ in range(iterations):
-        for m in marked:
-            amps[m] *= -1.0
-        mean2 = 2.0 * amps.mean()
-        for i in range(size):
-            amps[i] = mean2 - amps[i]
-    return amps
-
-
-# ---------------------------------------------------------------------------
-# GF(2) row reduction. Returns the rank; `rows` is reduced in place to
-# row-echelon form (pivot rows first).
-
-def gf2_rref_numpy(rows: np.ndarray) -> int:
+def gf2_rref(rows: np.ndarray) -> int:
+    """GF(2) row reduction. Returns the rank; `rows` is reduced in place to
+    reduced row-echelon form (pivot rows first)."""
     m, n = rows.shape
     rank = 0
     for col in range(n):
@@ -146,42 +75,3 @@ def gf2_rref_numpy(rows: np.ndarray) -> int:
         if rank == m:
             break
     return rank
-
-
-@njit(cache=True)
-def gf2_rref_njit(rows: np.ndarray) -> int:
-    m, n = rows.shape
-    rank = 0
-    for col in range(n):
-        pivot = -1
-        for r in range(rank, m):
-            if rows[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            for c in range(n):
-                tmp = rows[rank, c]
-                rows[rank, c] = rows[pivot, c]
-                rows[pivot, c] = tmp
-        for r in range(m):
-            if r != rank and rows[r, col]:
-                for c in range(n):
-                    rows[r, c] ^= rows[rank, c]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-if USE_NUMBA:
-    dj_argument_amplitudes = dj_argument_amplitudes_njit
-    simon_state_amplitudes = simon_state_amplitudes_njit
-    grover_amplitudes = grover_amplitudes_njit
-    gf2_rref = gf2_rref_njit
-else:
-    dj_argument_amplitudes = dj_argument_amplitudes_numpy
-    simon_state_amplitudes = simon_state_amplitudes_numpy
-    grover_amplitudes = grover_amplitudes_numpy
-    gf2_rref = gf2_rref_numpy

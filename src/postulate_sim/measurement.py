@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,11 @@ class MeasurementOutcome:
     `determined` is False only in strict von Neumann mode on a degenerate
     outcome, in which case `post_state` is None and `lueders_post_state`
     records what the other semantics would have claimed.
+
+    The post-states and the eigenprojector are built on first access by
+    `states_fn` and `projector_fn`, so a caller that reads only the
+    eigenvalue never pays for an array of the composite dimension.
+    `states_fn` returns (post_state, lueders_post_state, subsystem_post_state).
     """
 
     def __init__(
@@ -68,28 +74,37 @@ class MeasurementOutcome:
         probability: float,
         determined: bool,
         mode: SemanticsMode,
-        post_state: Optional[StateVector],
+        states_fn: Callable[[], tuple],
         projector_fn: Callable[[], np.ndarray],
         projector_rank: int,
-        lueders_post_state: Optional[StateVector] = None,
-        subsystem_post_state: Optional[StateVector] = None,
     ):
         self.eigenvalue = eigenvalue
         self.probability = probability
         self.determined = determined
         self.mode = mode
-        self.post_state = post_state
         self.projector_rank = projector_rank
-        self.lueders_post_state = lueders_post_state
-        self.subsystem_post_state = subsystem_post_state
+        self._states_fn = states_fn
         self._projector_fn = projector_fn
-        self._projector = None
+
+    @cached_property
+    def _states(self) -> tuple:
+        return self._states_fn()
 
     @property
+    def post_state(self) -> Optional[StateVector]:
+        return self._states[0]
+
+    @property
+    def lueders_post_state(self) -> Optional[StateVector]:
+        return self._states[1]
+
+    @property
+    def subsystem_post_state(self) -> Optional[StateVector]:
+        return self._states[2]
+
+    @cached_property
     def eigenprojector(self) -> np.ndarray:
-        if self._projector is None:
-            self._projector = self._projector_fn()
-        return self._projector
+        return self._projector_fn()
 
     def __repr__(self):
         return (
@@ -188,27 +203,28 @@ def _build_outcome(
 ) -> MeasurementOutcome:
     block = dec.blocks[idx]
     mult = block.shape[1]
-    projected = dec.project(psi.amplitudes, idx)
-    norm = np.linalg.norm(projected)
-    lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
+    determined = mode is SemanticsMode.LUEDERS or mult == 1
 
-    if mode is SemanticsMode.LUEDERS:
-        post, determined = lueders, True
-    elif mult == 1:
-        post = StateVector(phase_normalize(block[:, 0]), psi.dims)
-        determined = True
-    else:
-        post, determined = None, False
+    def states():
+        projected = dec.project(psi.amplitudes, idx)
+        norm = np.linalg.norm(projected)
+        lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
+        if mode is SemanticsMode.LUEDERS:
+            post = lueders
+        elif determined:
+            post = StateVector(phase_normalize(block[:, 0]), psi.dims)
+        else:
+            post = None
+        return post, None if determined else lueders, None
 
     return MeasurementOutcome(
         eigenvalue=float(dec.eigenvalues[idx]),
         probability=float(prob),
         determined=determined,
         mode=mode,
-        post_state=post,
+        states_fn=states,
         projector_fn=lambda: block @ block.conj().T,
         projector_rank=mult,
-        lueders_post_state=None if determined else lueders,
     )
 
 
@@ -278,10 +294,13 @@ def partial_measure(
     """
     basis, comps, probs = _local_components(a, subsystem, psi)
     idx = _choose(probs, rng, force_index)
-    # |alpha_j> x phi, reassembled in the original axis order
-    projected = np.einsum("d,ba->bda", basis[:, idx], comps[idx]).reshape(-1)
+
+    def project():
+        # |alpha_j> x phi, reassembled in the original axis order
+        return np.einsum("d,ba->bda", basis[:, idx], comps[idx]).reshape(-1)
+
     return _local_outcome(psi, subsystem, mode, float(a.decomposition.eigenvalues[idx]),
-                          probs[idx], projected, basis[:, idx])
+                          probs[idx], project, basis[:, idx])
 
 
 def _local_outcome(
@@ -290,24 +309,28 @@ def _local_outcome(
     mode: SemanticsMode,
     eigenvalue: float,
     probability: float,
-    projected: np.ndarray,
+    project: Callable[[], np.ndarray],
     local_vec: np.ndarray,
 ) -> MeasurementOutcome:
     """Outcome of a locally nondegenerate measurement with eigenvector
-    `local_vec`, given the composite projection (E_j x I) psi."""
+    `local_vec`; `project()` returns the composite projection (E_j x I) psi
+    when a post-state is first read."""
     rest_dim = psi.dim // local_vec.size
-    norm = np.linalg.norm(projected)
-    lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
-
-    if mode is SemanticsMode.LUEDERS:
-        post, determined = lueders, True
-    elif rest_dim == 1:
-        post = StateVector(phase_normalize(projected / norm), psi.dims)
-        determined = True
-    else:
-        post, determined = None, False
-
+    determined = mode is SemanticsMode.LUEDERS or rest_dim == 1
     dims = psi.dims
+
+    def states():
+        local = StateVector(phase_normalize(local_vec), (local_vec.size,))
+        if mode is not SemanticsMode.LUEDERS and rest_dim == 1:
+            # the eigenvector itself, as in `_build_outcome`, so a forced
+            # zero-probability outcome still has a post-state
+            return StateVector(phase_normalize(local_vec), dims), None, local
+        projected = project()
+        norm = np.linalg.norm(projected)
+        lueders = StateVector(projected / norm, dims) if norm > 0 else None
+        if determined:
+            return lueders, None, local
+        return None, lueders, local
 
     def lifted_projector():
         p_local = np.outer(local_vec, local_vec.conj())
@@ -319,11 +342,9 @@ def _local_outcome(
         probability=float(probability),
         determined=determined,
         mode=mode,
-        post_state=post,
+        states_fn=states,
         projector_fn=lifted_projector,
         projector_rank=rest_dim,
-        lueders_post_state=None if determined else lueders,
-        subsystem_post_state=StateVector(phase_normalize(local_vec), (local_vec.size,)),
     )
 
 
@@ -353,12 +374,16 @@ class RegisterReadout:
         force_index: Optional[int] = None,
     ) -> MeasurementOutcome:
         idx = _choose(self.probabilities, rng, force_index)
-        projected = np.zeros_like(self._mat)
-        projected[:, idx, :] = self._mat[:, idx, :]
+
+        def project():
+            projected = np.zeros_like(self._mat)
+            projected[:, idx, :] = self._mat[:, idx, :]
+            return projected.reshape(-1)
+
         local_vec = np.zeros(self.probabilities.size, dtype=np.complex128)
         local_vec[idx] = 1.0
         return _local_outcome(self.psi, self.subsystem, mode, float(idx),
-                              self.probabilities[idx], projected.reshape(-1), local_vec)
+                              self.probabilities[idx], project, local_vec)
 
 
 def build_refinement(a: Observable) -> RefinementObservable:

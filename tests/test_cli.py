@@ -14,7 +14,8 @@ from postulate_sim import algorithms as alg
 from postulate_sim import cli
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 # address-space cap of a child: enough for the interpreter and numpy, so a
 # regression that allocates a huge array fails the test instead of the machine
 AS_LIMIT = 2 ** 30
@@ -29,10 +30,17 @@ def run_cli(capsys, *argv):
 def run_cli_process(*argv, timeout=60.0):
     """Run `postulate-sim argv` in a child under RLIMIT_AS; return its exit code,
     stdout, stderr and peak RSS in KiB (the child's own rusage, from wait4)."""
+    return run_limited("from postulate_sim.cli import main; sys.exit(main())", *argv,
+                       timeout=timeout)
+
+
+def run_limited(code, *argv, timeout=60.0):
+    """Run Python `code` with `argv` in a child under RLIMIT_AS, with the
+    package and this directory importable; return as `run_cli_process`."""
     code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT})); "
-            "from postulate_sim.cli import main; sys.exit(main())")
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+            f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT})); " + code)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
                                 stdin=subprocess.DEVNULL, stdout=out, stderr=err)
@@ -229,6 +237,18 @@ def test_grover_at_dimension_cap():
     assert report["iterations"] == k
     assert report["marked_probability"] == pytest.approx(math.sin((2 * k + 1) * theta) ** 2,
                                                          abs=1e-10)
+    assert peak_kib < 200 * 1024
+
+
+def test_dj_at_dimension_cap():
+    """n = 15 plus the ancilla fills the 2^16 cap; the Walsh-Hadamard kernel
+    needs no 2^15 x 2^15 sign matrix."""
+    code, out, err, peak_kib = run_cli_process(
+        "dj", "--n", "15", "--kind", "balanced", "--trials", "5")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["zero_probability"] == 0
+    assert report["verdicts"] == {"balanced": 5}
     assert peak_kib < 200 * 1024
 
 

@@ -401,6 +401,21 @@ class TestRegisterReadout:
                                           np.eye(2 ** k)[int(got.eigenvalue)])
             np.testing.assert_array_equal(got.eigenprojector, ref.eigenprojector)
 
+    def test_full_register_forced_zero_probability_strict(self):
+        # strict von Neumann assigns the eigenvector as post-state even to an
+        # outcome of probability 0, as the dense `measure` does
+        psi = StateVector(np.eye(4)[1], (4,))
+        dense = argument_observable(2)
+        readout = RegisterReadout(psi, 0)
+        for idx in (0, 2, 3):
+            got = readout.measure(STRICT, None, force_index=idx)
+            ref = measure(dense, psi, STRICT, None, force_index=idx)
+            assert got.probability == ref.probability == 0.0
+            assert got.determined and ref.determined
+            np.testing.assert_array_equal(got.post_state.amplitudes, np.eye(4)[idx])
+            assert phase_equal(got.post_state, ref.post_state, 1e-12)
+            assert got.lueders_post_state is None and ref.lueders_post_state is None
+
     def test_subsystem_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             RegisterReadout(bell_state(BellKind.PHI_PLUS), 2)
