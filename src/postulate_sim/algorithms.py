@@ -10,14 +10,14 @@ every algorithm behaves identically under both collapse semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle, RankDeficient
+from .errors import DimensionMismatch, InvalidMarkedSet, InvalidOracle, RankDeficient
 from .hilbert import MAX_DIM, Observable, StateVector
 from .measurement import RegisterReadout, SemanticsMode
 
@@ -116,14 +116,10 @@ def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> B
     values = np.arange(2 ** n, dtype=np.int64)
     if rng is not None:
         values = rng.permutation(values)
-    table = np.empty(2 ** n, dtype=np.int64)
-    label = {}
-    for x in range(2 ** n):
-        rep = min(x, x ^ s)
-        if rep not in label:
-            label[rep] = values[len(label)]
-        table[x] = label[rep]
-    return BooleanOracle.simon(n, table)
+    x = np.arange(2 ** n, dtype=np.int64)
+    # label the cosets {r, r ^ s} in order of first appearance; coset r first
+    # appears at x = r, so that order is np.unique's sorted order
+    return BooleanOracle.simon(n, values[np.unique(np.minimum(x, x ^ s), return_inverse=True)[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +136,7 @@ def load_oracle(path, kind: str) -> BooleanOracle:
     if kind not in ("dj", "simon"):
         raise InvalidOracle(f"unknown oracle kind {kind!r}")
     entries = {}
+    n = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -149,10 +146,16 @@ def load_oracle(path, kind: str) -> BooleanOracle:
             if len(parts) != 2:
                 raise InvalidOracle(f"{path}:{lineno}: expected 'input output', got {line!r}")
             try:
-                entries[int(parts[0], 2)] = int(parts[1], 2)
+                x, y = int(parts[0], 2), int(parts[1], 2)
             except ValueError as exc:
                 raise InvalidOracle(f"{path}:{lineno}: {exc}") from exc
+            if n is not None and len(parts[0]) != n:
+                raise InvalidOracle(f"{path}:{lineno}: input {parts[0]} has {len(parts[0])} bits, "
+                                    f"earlier lines have {n}")
             n = len(parts[0])
+            if x in entries:
+                raise InvalidOracle(f"{path}:{lineno}: input {parts[0]} repeats an earlier line")
+            entries[x] = y
     if not entries:
         raise InvalidOracle(f"{path}: empty oracle file")
     _check_width(n, n + 1 if kind == "dj" else 2 * n)
@@ -219,67 +222,6 @@ def simon_final_state(oracle: BooleanOracle) -> StateVector:
 
 
 @dataclass
-class Gf2System:
-    """Accumulated GF(2) constraint rows of width n."""
-    width: int
-    rows: list = field(default_factory=list)
-
-    def add(self, row) -> None:
-        row = np.asarray(row, dtype=np.uint8)
-        if row.shape != (self.width,):
-            raise ValueError(f"row width {row.shape} != {self.width}")
-        self.rows.append(row)
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.width), dtype=np.uint8)
-        return np.array(self.rows, dtype=np.uint8)
-
-    def rank(self) -> int:
-        return kernels.gf2_rref(self.matrix().copy())
-
-
-@dataclass
-class Gf2Solution:
-    vector: np.ndarray
-    ambiguous: bool  # rank < width - 1: solution not unique
-
-
-def gf2_solve(system: Gf2System) -> Gf2Solution:
-    """Nonzero nullspace vector of the system via Gaussian elimination."""
-    n = system.width
-    reduced = system.matrix().copy()
-    rank = kernels.gf2_rref(reduced)
-    if rank == n:
-        raise FullRank("system has full rank; only the zero vector satisfies it")
-    pivots = []
-    col = 0
-    for r in range(rank):
-        while not reduced[r, col]:
-            col += 1
-        pivots.append(col)
-        col += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    v = np.zeros(n, dtype=np.uint8)
-    fc = free_cols[0]
-    v[fc] = 1
-    for r, pc in enumerate(pivots):
-        v[pc] = reduced[r, fc]
-    return Gf2Solution(vector=v, ambiguous=rank < n - 1)
-
-
-def _bits(x: int, n: int) -> np.ndarray:
-    return np.array([(x >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-@dataclass
 class SimonResult:
     period: int
     samples: list
@@ -298,21 +240,20 @@ def simon(
     if max_samples < n - 1:
         raise ValueError(f"max_samples={max_samples} < n-1={n - 1}")
     readout = RegisterReadout(simon_final_state(oracle).reshaped((2 ** n, 2 ** n)), 0)
-    system = Gf2System(width=n)
+    rows: dict[int, int] = {}
     samples = []
     for _ in range(max_samples):
-        if system.rank() == n - 1:
+        if len(rows) == n - 1:
             break
         j = int(round(readout.measure(mode, rng).eigenvalue))
         samples.append(j)
-        system.add(_bits(j, n))
-    if system.rank() != n - 1:
+        kernels.gf2_add(rows, j)
+    if len(rows) != n - 1:
         raise RankDeficient(
-            f"rank {system.rank()} < {n - 1} after {max_samples} samples; retry with more"
+            f"rank {len(rows)} < {n - 1} after {max_samples} samples; retry with more"
         )
-    solution = gf2_solve(system)
     return SimonResult(
-        period=_bits_to_int(solution.vector),
+        period=kernels.gf2_null_vector(rows, n),
         samples=samples,
         sample_count=len(samples),
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 
@@ -64,15 +65,24 @@ def _state_json(state: StateVector) -> list[list[float]]:
 def _input_qubit(alpha: complex, beta: complex) -> StateVector:
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise PostulateSimError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
-    try:
-        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    except OverflowError:
-        raise PostulateSimError(
-            f"amplitudes too large to normalize: alpha={alpha}, beta={beta}") from None
-    if norm == 0:
+    # the largest component, not the largest modulus: abs(1e308+1e308j) overflows
+    scale = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+    if scale == 0:
         raise PostulateSimError("alpha and beta cannot both be zero")
-    if abs(norm - 1.0) > 1e-6:
-        print(f"warning: renormalizing input amplitudes (|psi| = {norm:.8g})", file=sys.stderr)
+    try:
+        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        norm_sq = math.inf
+    if sys.float_info.min <= norm_sq < math.inf:
+        scale = 1.0
+    else:
+        # the squares underflow or overflow: divide by the largest component first
+        alpha, beta = alpha / scale, beta / scale
+        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    norm = np.sqrt(norm_sq)
+    size = scale * float(norm)  # a Python float: inf past the float range, no warning
+    if abs(size - 1.0) > 1e-6:
+        print(f"warning: renormalizing input amplitudes (|psi| = {size:.8g})", file=sys.stderr)
     return StateVector(np.array([alpha, beta]) / norm, (2,))
 
 

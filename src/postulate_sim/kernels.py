@@ -4,10 +4,14 @@ The Deutsch-Jozsa and Simon amplitudes are Walsh-Hadamard transforms of
 integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
 Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
 sign matrix. Every sum is an exact integer before the final division by 2^n.
+Simon's classical step, the GF(2) nullspace of the sampled constraints, works
+on rows bit-packed into Python ints.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import FullRank
 
 
 def _fwht(table: np.ndarray) -> np.ndarray:
@@ -53,25 +57,33 @@ def grover_amplitudes(n: int, marked: np.ndarray, iterations: int) -> np.ndarray
     return amps
 
 
-def gf2_rref(rows: np.ndarray) -> int:
-    """GF(2) row reduction. Returns the rank; `rows` is reduced in place to
-    reduced row-echelon form (pivot rows first)."""
-    m, n = rows.shape
-    rank = 0
-    for col in range(n):
-        pivot = -1
-        for r in range(rank, m):
-            if rows[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            rows[[rank, pivot]] = rows[[pivot, rank]]
-        hits = rows[:, col].astype(bool).copy()
-        hits[rank] = False
-        rows[hits] ^= rows[rank]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def gf2_add(rows: dict[int, int], row: int) -> None:
+    """Insert a bit-packed GF(2) row into a reduced echelon basis, in place.
+
+    `rows` maps each pivot (leading bit) to its row, and no row has another
+    row's pivot bit set, so the rank is len(rows). A row that depends on the
+    basis leaves it unchanged."""
+    for lead, basis_row in rows.items():
+        if row >> lead & 1:
+            row ^= basis_row
+    if row:
+        lead = row.bit_length() - 1
+        for other in rows:
+            if rows[other] >> lead & 1:
+                rows[other] ^= row
+        rows[lead] = row
+
+
+def gf2_null_vector(rows: dict[int, int], n: int) -> int:
+    """Nonzero n-bit v with popcount(row & v) even for every row of a basis
+    built by `gf2_add`: the highest free bit is set, and each pivot bit is
+    the row's bit at that free position. Unique when len(rows) == n - 1."""
+    free = [bit for bit in range(n) if bit not in rows]
+    if not free:
+        raise FullRank("system has full rank; only the zero vector satisfies it")
+    bit = free[-1]
+    v = 1 << bit
+    for lead, row in rows.items():
+        if row >> bit & 1:
+            v |= 1 << lead
+    return v

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateLocalObservable,
     DimensionMismatch,
     IndexOutOfRange,
-    NotHermitian,
 )
 from .hilbert import (
     Observable,
@@ -36,8 +35,6 @@ from .hilbert import (
     StateVector,
     phase_normalize,
 )
-
-COMMUTATOR_TOL = 1e-9
 
 
 class SemanticsMode(enum.Enum):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
+from postulate_sim import kernels
 from postulate_sim.errors import FullRank, InvalidMarkedSet, InvalidOracle
 from postulate_sim.hilbert import StateVector
 from postulate_sim.measurement import SemanticsMode, partial_probabilities
@@ -197,54 +198,50 @@ class TestSimonState:
 
 
 class TestGf2:
+    @staticmethod
+    def basis(*rows):
+        basis = {}
+        for row in rows:
+            kernels.gf2_add(basis, row)
+        return basis
+
     def test_rank_zero_ambiguous(self):
-        system = alg.Gf2System(width=2)
-        system.add([0, 0])
-        sol = alg.gf2_solve(system)
-        assert sol.ambiguous
-        assert np.any(sol.vector)
+        rows = self.basis(0b00)
+        assert len(rows) < 2 - 1
+        assert kernels.gf2_null_vector(rows, 2) != 0
 
     def test_unique_solution_n3(self):
-        system = alg.Gf2System(width=3)
-        system.add([1, 1, 0])
-        system.add([0, 1, 1])
-        sol = alg.gf2_solve(system)
-        assert not sol.ambiguous
+        rows = self.basis(0b110, 0b011)
+        assert len(rows) == 3 - 1
         # oracle: enumerate all 8 candidates
         valid = [v for v in range(1, 8)
-                 if all(popcount_parity(v & int("".join(map(str, r)), 2)) == 0
-                        for r in ([1, 1, 0], [0, 1, 1]))]
+                 if all(popcount_parity(v & r) == 0 for r in (0b110, 0b011))]
         assert valid == [0b111]
-        np.testing.assert_array_equal(sol.vector, [1, 1, 1])
+        assert kernels.gf2_null_vector(rows, 3) == 0b111
 
     def test_unique_solution_n2(self):
-        system = alg.Gf2System(width=2)
-        system.add([1, 0])
-        sol = alg.gf2_solve(system)
-        np.testing.assert_array_equal(sol.vector, [0, 1])
-        assert not sol.ambiguous
+        rows = self.basis(0b10)
+        assert kernels.gf2_null_vector(rows, 2) == 0b01
+        assert len(rows) == 2 - 1
 
     def test_full_rank_raises(self):
-        system = alg.Gf2System(width=2)
-        system.add([1, 0])
-        system.add([0, 1])
+        rows = self.basis(0b10, 0b01)
         with pytest.raises(FullRank):
-            alg.gf2_solve(system)
+            kernels.gf2_null_vector(rows, 2)
 
     def test_solution_annihilates_rows(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            rows = rng.integers(0, 2, size=(int(rng.integers(1, n)), n)).astype(np.uint8)
-            system = alg.Gf2System(width=n)
-            for r in rows:
-                system.add(r)
+            bits = rng.integers(0, 2, size=(int(rng.integers(1, n)), n))
+            rows = [int("".join(map(str, r)), 2) for r in bits.tolist()]
             try:
-                sol = alg.gf2_solve(system)
+                v = kernels.gf2_null_vector(self.basis(*rows), n)
             except FullRank:
                 continue
+            assert 0 < v < 2 ** n
             for r in rows:
-                assert int(r @ sol.vector) % 2 == 0
+                assert popcount_parity(r & v) == 0
 
 
 class TestSimonRecovery:

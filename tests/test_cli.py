@@ -165,6 +165,23 @@ class TestAlgorithmCommands:
         assert report["born_probabilities"]["-1.0"] == pytest.approx(0.64, abs=1e-10)
         assert report["born_probabilities"]["1.0"] == pytest.approx(0.36, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha,same_as", [
+        ("1e-160,0", "1,0"), ("1e-200,0", "1,0"), ("1e200,0", "1,0"), ("1e308,1e308", "1,1"),
+    ])
+    def test_measure_rescales_extreme_amplitudes(self, capsys, alpha, same_as):
+        """The squares of these amplitudes underflow or overflow (1e308+1e308j
+        even in its modulus), yet each input reports as the same state written
+        with ordinary amplitudes, apart from the echoed alpha."""
+        reports = []
+        for a in (alpha, same_as):
+            code, out, _ = run_cli(capsys, "measure", "--alpha", a, "--beta", "0,0",
+                                   "--trials", "3")
+            assert code == 0
+            report = json.loads(out)
+            del report["config"]["alpha"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_semantics_independent_outcomes(self, capsys):
         outs = {}
         for mode in ("lueders", "von-neumann"):
@@ -187,6 +204,23 @@ class TestErrors:
         path = tmp_path / "bad.txt"
         path.write_text("garbage\n")
         assert cli.main(["dj", "--oracle", str(path)]) == 1
+
+    @pytest.mark.parametrize("text,line", [
+        ("00 1\n01 1\n10 0\n11 0\n00 0\n01 0\n", 5),  # balanced, then repeated as constant
+        ("0 1\n1 0\n10 1\n11 0\n", 3),                # 1-bit inputs, then 2-bit ones
+    ], ids=["repeated", "mixed_widths"])
+    def test_inconsistent_oracle_file_exit_1(self, capsys, tmp_path, text, line):
+        path = tmp_path / "oracle.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dj", "--oracle", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"postulate-sim: error: {path}:{line}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_zero_amplitudes_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "--alpha", "0,0", "--beta", "0,0")
+        assert (code, out) == (1, "")
+        assert err == "postulate-sim: error: alpha and beta cannot both be zero\n"
 
     def test_dj_without_inputs_exit_1(self, capsys):
         assert cli.main(["dj"]) == 1

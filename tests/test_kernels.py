@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import kernels
+from postulate_sim.errors import FullRank
 
 
 def _bit_matrix(n):
@@ -92,14 +93,29 @@ def test_grover_paths_agree(n, marked, iters):
 
 
 def test_gf2_rref_paths_agree():
+    """The bit-packed basis has the rank of the element-wise elimination, and
+    its null vector is checked against the enumerated nullspace."""
     rng = np.random.default_rng(3)
     for _ in range(100):
         m, n = int(rng.integers(1, 10)), int(rng.integers(1, 10))
         rows = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
-        a, b = rows.copy(), rows.copy()
-        rank = kernels.gf2_rref(a)
-        assert rank == _gf2_rref_loop(b) == _gf2_rank_oracle(rows)
-        np.testing.assert_array_equal(a, b)
+        packed = [int("".join(map(str, r)), 2) for r in rows.tolist()]
+        basis = {}
+        for r in packed:
+            kernels.gf2_add(basis, r)
+        rank = len(basis)
+        assert rank == _gf2_rref_loop(rows.copy()) == _gf2_rank_oracle(rows)
+        nullspace = [v for v in range(1, 2 ** n)
+                     if all(bin(v & r).count("1") % 2 == 0 for r in packed)]
+        assert len(nullspace) == 2 ** (n - rank) - 1
+        if not nullspace:
+            with pytest.raises(FullRank):
+                kernels.gf2_null_vector(basis, n)
+            continue
+        v = kernels.gf2_null_vector(basis, n)
+        assert v in nullspace
+        if rank == n - 1:
+            assert nullspace == [v]
 
 
 def _gf2_rank_oracle(rows):
