@@ -9,6 +9,7 @@ degeneracy is an explicit, queryable property.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -80,34 +81,36 @@ class StateVector:
 
 
 class SpectralDecomposition:
-    """Distinct sorted eigenvalues with orthonormal eigenbasis blocks.
+    """Distinct sorted eigenvalues over one orthonormal eigenvector matrix.
 
     Eigenvalues closer than DEGEN_TOL are merged (mean value, combined
-    eigenspace).  Blocks hold orthonormal eigenvectors column-wise; the dense
-    projectors are derived lazily since they are quadratic in the dimension.
+    eigenspace). The columns of `vectors` are grouped by eigenvalue, and
+    `blocks[i]` is the column slice spanning eigenspace i (a view, not a
+    copy); the dense projectors are derived lazily since they are quadratic
+    in the dimension.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, blocks: list[np.ndarray]):
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, multiplicities):
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        self.blocks = blocks
-        self.multiplicities = tuple(b.shape[1] for b in blocks)
-        self._projectors = None
+        self.vectors = vectors
+        self.multiplicities = tuple(multiplicities)
+        self.blocks = np.split(vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
+        # eigenspace index of every column of `vectors`
+        self._labels = np.repeat(np.arange(len(self.multiplicities)), self.multiplicities)
 
-    @property
+    @cached_property
     def projectors(self) -> list[np.ndarray]:
-        if self._projectors is None:
-            self._projectors = [b @ b.conj().T for b in self.blocks]
-        return self._projectors
+        return [b @ b.conj().T for b in self.blocks]
 
     @property
     def degenerate(self) -> bool:
-        return any(m > 1 for m in self.multiplicities)
+        return max(self.multiplicities) > 1
 
     def projection_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
-        """|P_i psi|^2 for every eigenvalue, via the eigenbasis blocks."""
-        return np.array(
-            [float((np.abs(b.conj().T @ amplitudes) ** 2).sum()) for b in self.blocks]
-        )
+        """|P_i psi|^2 for every eigenvalue: one product with the eigenvector
+        matrix (psi^dag V, whose moduli are those of V^dag psi) summed per eigenspace."""
+        comps = np.abs(amplitudes.conj() @ self.vectors) ** 2
+        return np.bincount(self._labels, weights=comps)
 
     def project(self, amplitudes: np.ndarray, index: int) -> np.ndarray:
         b = self.blocks[index]
@@ -128,7 +131,10 @@ class Observable:
             raise DimensionMismatch(
                 f"dims {dims} imply dimension {math.prod(dims)}, got {mat.shape[0]}x{mat.shape[0]}"
             )
-        herm_defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+        # NaN fails every comparison, so test finiteness before any arithmetic
+        if not np.isfinite(mat).all():
+            raise PostulateSimError("observable has non-finite entries")
+        herm_defect = np.max(np.abs(mat - mat.conj().T))
         if herm_defect > HERM_TOL:
             raise NotHermitian(f"max |M - M^dag| = {herm_defect!r} exceeds {HERM_TOL}")
         self.matrix = mat
@@ -174,15 +180,9 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
     else:
         values, vectors = np.linalg.eigh(mat)
 
-    eigenvalues = []
-    blocks = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > DEGEN_TOL:
-            eigenvalues.append(float(np.mean(values[start:i])))
-            blocks.append(np.ascontiguousarray(vectors[:, start:i]))
-            start = i
-    return SpectralDecomposition(np.array(eigenvalues), blocks)
+    groups = np.split(values, np.flatnonzero(np.diff(values) > DEGEN_TOL) + 1)
+    return SpectralDecomposition([np.mean(g) for g in groups], np.ascontiguousarray(vectors),
+                                 [g.size for g in groups])
 
 
 def phase_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

@@ -120,10 +120,9 @@ class RefinementObservable:
     def apply_map(self) -> np.ndarray:
         """Assemble f(C) from C's spectral decomposition."""
         dec = self.refined.decomposition
-        mat = np.zeros_like(self.refined.matrix)
-        for i, ev in enumerate(dec.eigenvalues):
-            mat += self.value_map[int(round(ev))] * dec.projectors[i]
-        return mat
+        f = np.repeat([self.value_map[int(round(ev))] for ev in dec.eigenvalues],
+                      dec.multiplicities)
+        return (dec.vectors * f) @ dec.vectors.conj().T
 
 
 def _check_state(a: Observable, psi: StateVector):
@@ -139,8 +138,7 @@ def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> 
         raise IndexOutOfRange(
             f"eigenvalue index {eigenvalue_index} out of range [0, {len(dec.eigenvalues)})"
         )
-    b = dec.blocks[eigenvalue_index]
-    return float(np.sum(np.abs(b.conj().T @ psi.amplitudes) ** 2))
+    return float(dec.projection_norms_sq(psi.amplitudes)[eigenvalue_index])
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
@@ -267,7 +265,7 @@ def _local_components(a: Observable, subsystem: int, psi: StateVector):
     # (before, d, after) with the measured factor on its own axis
     mat = psi.amplitudes.reshape(before, a.dim, after)
     # vectors of the nondegenerate local basis, columns -> (d, d)
-    basis = np.hstack(dec.blocks)
+    basis = dec.vectors
     comps = np.einsum("dj,bda->jba", basis.conj(), mat)
     return basis, comps, np.sum(np.abs(comps) ** 2, axis=(1, 2))
 
@@ -386,29 +384,16 @@ class RegisterReadout:
 def build_refinement(a: Observable) -> RefinementObservable:
     """Construct a nondegenerate compatible C and the map f with f(C) = A.
 
-    Within every eigenspace the eigensolver's orthonormal vectors are kept in
-    index order (re-orthonormalized defensively); the refined observable
-    assigns the plain labels 0..N-1 across that basis.
+    The eigenbasis is re-orthonormalized defensively by one QR factorization,
+    which keeps the span of every leading set of columns and so every
+    eigenspace; the refined observable assigns the plain labels 0..N-1 across
+    that basis in column order.
     """
     dec = a.decomposition
-    mat = np.zeros_like(a.matrix)
-    value_map: dict[int, float] = {}
-    label = 0
-    for ev, block in zip(dec.eigenvalues, dec.blocks):
-        block = _gram_schmidt(block)
-        for k in range(block.shape[1]):
-            v = block[:, k]
-            mat += label * np.outer(v, v.conj())
-            value_map[label] = float(ev)
-            label += 1
-    refined = Observable((mat + mat.conj().T) / 2, a.dims)
-    return RefinementObservable(refined, value_map)
-
-
-def _gram_schmidt(block: np.ndarray) -> np.ndarray:
-    out = np.array(block, dtype=np.complex128)
-    for k in range(out.shape[1]):
-        for j in range(k):
-            out[:, k] -= np.vdot(out[:, j], out[:, k]) * out[:, j]
-        out[:, k] /= np.linalg.norm(out[:, k])
-    return out
+    q = np.linalg.qr(dec.vectors)[0]
+    mat = (q * np.arange(a.dim)) @ q.conj().T
+    # symmetrize in place: every (dim, dim) temporary adds to the peak memory
+    mat += mat.conj().T
+    mat /= 2
+    value_map = dict(enumerate(np.repeat(dec.eigenvalues, dec.multiplicities).tolist()))
+    return RefinementObservable(Observable(mat, a.dims), value_map)

@@ -132,6 +132,18 @@ class TestAlgorithmCommands:
         report = json.loads(out)
         assert report["verdicts"] == {"balanced": 3}
 
+    def test_dj_negative_seed_folds_to_64_bits(self, capsys):
+        """The balanced oracle's seed folds as every trial seed does, so -1
+        reads as 2^64 - 1 instead of failing in numpy."""
+        argv = ("dj", "--n", "3", "--kind", "balanced", "--trials", "4", "--seed")
+        code, out, err = run_cli(capsys, *argv, "-1")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["verdicts"] == {"balanced": 4}
+        code, folded, _ = run_cli(capsys, *argv, str(2 ** 64 - 1))
+        assert code == 0
+        assert json.loads(folded)["outcomes"] == report["outcomes"]
+
     def test_simon_oracle_file(self, capsys, tmp_path):
         oracle = alg.simon_oracle(3, 0b101, np.random.default_rng(6))
         path = tmp_path / "s101.txt"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ def random_hermitian(rng, dim):
 def random_state(rng, dim, dims=None):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(v / np.linalg.norm(v), dims)
+
+
+def planted_observable(rng, mults):
+    """Observable with eigenvalue g on a random eigenspace of multiplicity
+    mults[g]; returns it with the planted orthonormal columns of every
+    eigenspace."""
+    dim = sum(mults)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(z)[0]
+    m = (u * np.repeat(np.arange(len(mults)), mults)) @ u.conj().T
+    return Observable((m + m.conj().T) / 2), np.split(u, np.cumsum(mults)[:-1], axis=1)
 
 
 def bell_phi_plus():
@@ -150,6 +163,28 @@ class TestSpectralDecompose:
         with pytest.raises(NotHermitian):
             Observable([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("mults", [(1,), (3,), (1, 2, 3, 4), (4, 1, 3, 2), (9, 2, 1), (2, 12, 1)])
+    def test_blocks_are_views_of_one_eigenvector_matrix(self, mults):
+        rng = np.random.default_rng(len(mults) * 100 + sum(mults))
+        a, planted = planted_observable(rng, mults)
+        dec = a.decomposition
+        assert dec.multiplicities == mults
+        assert sum(dec.multiplicities) == a.dim
+        assert dec.degenerate == (max(mults) > 1)
+        assert dec.vectors.shape == (a.dim, a.dim) and dec.vectors.flags.c_contiguous
+        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(a.dim), atol=1e-12)
+        for block, cols, m in zip(dec.blocks, planted, mults):
+            assert block.shape == (a.dim, m)
+            assert np.shares_memory(block, dec.vectors)
+            np.testing.assert_allclose(block @ block.conj().T, cols @ cols.conj().T, atol=1e-10)
+
+    def test_diagonal_blocks_are_views(self):
+        dec = Observable(np.diag([2.0, 0.0, 2.0, 1.0])).decomposition
+        np.testing.assert_array_equal(dec.eigenvalues, [0, 1, 2])
+        assert dec.multiplicities == (1, 1, 2)
+        np.testing.assert_array_equal(dec.vectors, np.eye(4)[:, [1, 3, 0, 2]])
+        assert all(np.shares_memory(b, dec.vectors) for b in dec.blocks)
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_random_hermitian_invariants(self, dim):
         rng = np.random.default_rng(dim)
@@ -167,6 +202,22 @@ class TestSpectralDecompose:
                 for j in range(i):
                     np.testing.assert_allclose(p @ projs[j], 0, atol=1e-9)
             assert list(dec.eigenvalues) == sorted(dec.eigenvalues)
+
+
+class TestObservable:
+    @pytest.mark.parametrize("matrix", [
+        [[np.nan, 0], [0, 1]],
+        [[0, np.nan], [np.nan, 0]],
+        [[np.inf, 0], [0, 1]],
+        [[0, -np.inf], [-np.inf, 0]],
+        [[1, complex(0, np.inf)], [complex(0, -np.inf), 1]],
+    ])
+    def test_rejects_non_finite(self, matrix):
+        # checked before any arithmetic, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PostulateSimError, match="non-finite"):
+                Observable(matrix)
 
 
 class TestPhaseEqual:

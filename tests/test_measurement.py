@@ -21,6 +21,7 @@ from postulate_sim.measurement import (
     sample_index,
 )
 from postulate_sim.protocols import BellKind, bell_basis_observable, bell_state
+from test_hilbert import planted_observable
 
 INV_SQRT2 = 1 / np.sqrt(2)
 SIGMA3 = Observable([[1, 0], [0, -1]])
@@ -105,6 +106,27 @@ class TestBornProbability:
             oracle = brute_force_probabilities(a.matrix, psi.amplitudes)
             np.testing.assert_allclose(probs, oracle, atol=1e-9)
             assert abs(probs.sum() - 1.0) < 1e-9
+
+
+    @pytest.mark.parametrize("mults", [
+        (1, 2, 3, 4),
+        (4, 3, 2, 1, 1, 4),
+        (9, 1, 3),
+        (2, 11, 4, 1, 3),
+        (16, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+    ])
+    def test_planted_eigenspaces_match_projectors(self, mults):
+        rng = np.random.default_rng(len(mults) * 100 + sum(mults))
+        a, planted = planted_observable(rng, mults)
+        for _ in range(5):
+            psi = random_state(rng, a.dim)
+            probs = born_probabilities(a, psi)
+            ref = [np.linalg.norm(u @ (u.conj().T @ psi.amplitudes)) ** 2 for u in planted]
+            np.testing.assert_allclose(probs, ref, atol=1e-12)
+            np.testing.assert_allclose(probs, brute_force_probabilities(a.matrix, psi.amplitudes),
+                                       atol=1e-9)
+            for i, p in enumerate(ref):
+                assert born_probability(a, i, psi) == pytest.approx(p, abs=1e-12)
 
 
 class TestMeasure:
@@ -278,6 +300,26 @@ class TestBuildRefinement:
         assert not ref.refined.decomposition.degenerate
         assert set(ref.value_map.values()) == {1.0}
         np.testing.assert_allclose(ref.apply_map(), np.eye(4), atol=1e-9)
+
+    @pytest.mark.parametrize("mults", [(3, 1, 2), (4, 4), (1, 3, 4, 2, 3), (2, 1, 4, 1, 3)])
+    def test_planted_eigenspaces(self, mults):
+        rng = np.random.default_rng(len(mults) * 10 + sum(mults))
+        a, _ = planted_observable(rng, mults)
+        ref = build_refinement(a)
+        c = ref.refined.matrix
+        dec = ref.refined.decomposition
+        assert not dec.degenerate
+        np.testing.assert_allclose(dec.eigenvalues, np.arange(a.dim), atol=1e-9)
+        assert np.max(np.abs(a.matrix @ c - c @ a.matrix)) < 1e-9
+        np.testing.assert_allclose(ref.apply_map(), a.matrix, atol=1e-9)
+        # f(C) through numpy's own eigensolve of C, apart from apply_map
+        values, vectors = np.linalg.eigh(c)
+        f = np.array([ref.value_map[int(round(v))] for v in values])
+        np.testing.assert_allclose((vectors * f) @ vectors.conj().T, a.matrix, atol=1e-9)
+        # labels ascend with the eigenvalue: eigenvalue g takes the next mults[g] labels
+        assert sorted(ref.value_map) == list(range(a.dim))
+        np.testing.assert_allclose([ref.value_map[k] for k in range(a.dim)],
+                                   np.repeat(np.arange(len(mults)), mults), atol=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_soundness_random(self, dim):

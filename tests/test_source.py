@@ -19,6 +19,23 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private functions, classes and assignments that the
+    module itself never reads. Dunder names are the interpreter's."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_unused_imports_detected():
     source = "from __future__ import annotations\nimport os, numpy as np\nfrom a import b, c\nc(np.x)\n"
     assert unused_imports(source) == ["os", "b"]
@@ -27,5 +44,19 @@ def test_unused_imports_detected():
 def test_no_unused_imports():
     """`__init__.py` is exempt: its imports are the package's public names."""
     found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unread_private_names_detected():
+    source = ("__all__ = []\n_A, _B = 1, 2\n_C: int = 3\ndef _helper(x): pass\n"
+              "def _dead(): pass\nclass _Gone: pass\nPUBLIC = _helper(_B)\n"
+              "def f():\n    _local = 1\n    _C = 2\n")
+    assert unread_private_names(source) == ["_A", "_C", "_dead", "_Gone"]
+
+
+def test_no_unread_private_names():
+    """A private helper that its own module never reads is dead code."""
+    found = {path.name: unread_private_names(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
