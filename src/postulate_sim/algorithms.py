@@ -199,9 +199,13 @@ class DJResult:
     zero_probability: float
 
 
+def dj_readout(oracle: BooleanOracle) -> RegisterReadout:
+    """Argument-register readout of the final state; draws give z."""
+    return RegisterReadout(dj_final_state(oracle).reshaped((2 ** oracle.n, 2)), 0)
+
+
 def deutsch_jozsa(oracle: BooleanOracle, mode: SemanticsMode, rng: np.random.Generator) -> DJResult:
-    n = oracle.n
-    readout = RegisterReadout(dj_final_state(oracle).reshaped((2 ** n, 2)), 0)
+    readout = dj_readout(oracle)
     z = int(round(readout.measure(mode, rng).eigenvalue))
     return DJResult(
         verdict="constant" if z == 0 else "balanced",
@@ -228,24 +232,30 @@ class SimonResult:
     sample_count: int
 
 
-def simon(
-    oracle: BooleanOracle,
-    mode: SemanticsMode,
-    rng: np.random.Generator,
-    max_samples: int = 50,
-) -> SimonResult:
+def simon_readout(oracle: BooleanOracle) -> RegisterReadout:
+    """Argument-register readout of the final state; draws give constraints j."""
+    return RegisterReadout(simon_final_state(oracle).reshaped((2 ** oracle.n, 2 ** oracle.n)), 0)
+
+
+def simon(oracle: BooleanOracle, mode: SemanticsMode, rng: np.random.Generator,
+          max_samples: int = 50) -> SimonResult:
     """Sample argument-register readouts until n-1 independent constraints
-    accumulate, then recover the hidden period over GF(2)."""
-    n = oracle.n
+    accumulate, then recover the hidden period over GF(2). The readout is
+    nondegenerate on its register, so `mode` does not change the samples."""
+    return simon_period(simon_readout(oracle), oracle.n, rng, max_samples)
+
+
+def simon_period(readout: RegisterReadout, n: int, rng: np.random.Generator,
+                 max_samples: int) -> SimonResult:
+    """One Simon trial on a prepared readout: draw constraints j from `rng`."""
     if max_samples < n - 1:
         raise ValueError(f"max_samples={max_samples} < n-1={n - 1}")
-    readout = RegisterReadout(simon_final_state(oracle).reshaped((2 ** n, 2 ** n)), 0)
     rows: dict[int, int] = {}
     samples = []
     for _ in range(max_samples):
         if len(rows) == n - 1:
             break
-        j = int(round(readout.measure(mode, rng).eigenvalue))
+        j = readout.draw(rng)
         samples.append(j)
         kernels.gf2_add(rows, j)
     if len(rows) != n - 1:
@@ -274,9 +284,9 @@ def grover_iterations(n: int, marked_count: int) -> int:
     return int(math.floor((math.pi / 4.0) * math.sqrt(2 ** n / marked_count)))
 
 
-def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> GroverResult:
-    """Standard Grover search over 2^n items; reports the sampled index and
-    the exact Born probability of landing in the marked set."""
+def grover_readout(n: int, marked) -> tuple[RegisterReadout, list[int]]:
+    """Readout of the state after `grover_iterations` rounds, whose draws give
+    the found index, and the sorted marked set."""
     _check_width(n, n)
     size = 2 ** n
     marked = sorted(set(int(m) for m in marked))
@@ -286,13 +296,17 @@ def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> Gro
         raise InvalidMarkedSet(f"marked indices must lie in [0, {size})")
     iters = grover_iterations(n, len(marked))
     amps = kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters)
-    state = StateVector(amps, (size,))
-    marked_prob = float(np.sum(np.abs(amps[marked]) ** 2))
-    outcome = RegisterReadout(state, 0).measure(mode, rng)
-    found = int(round(outcome.eigenvalue))
+    return RegisterReadout(StateVector(amps, (size,)), 0), marked
+
+
+def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> GroverResult:
+    """Standard Grover search over 2^n items; reports the sampled index and
+    the exact Born probability of landing in the marked set."""
+    readout, marked = grover_readout(n, marked)
+    found = int(round(readout.measure(mode, rng).eigenvalue))
     return GroverResult(
         found=found,
-        marked_probability=marked_prob,
-        iterations=iters,
+        marked_probability=float(np.sum(readout.probabilities[marked])),
+        iterations=grover_iterations(n, len(marked)),
         hit=found in marked,
     )

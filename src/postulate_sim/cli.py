@@ -16,13 +16,16 @@ import numpy as np
 from . import __version__, algorithms, protocols
 from .errors import PostulateSimError
 from .hilbert import Observable, StateVector
-from .measurement import SemanticsMode, born_probabilities, measure
+from .measurement import ObservableReadout, SemanticsMode
 
 SCHEMA = "postulate-sim/1"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BLOCKED = 2
+
+# five times the largest documented run (teleport --trials 20000)
+MAX_TRIALS = 100_000
 
 _PAULIS = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -134,35 +137,38 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # command runners; each returns (payload dict, exit code)
 
-def _run_teleport(args) -> tuple[dict, int]:
-    mode = SemanticsMode.from_string(args.mode)
-    psi = _input_qubit(args.alpha, args.beta)
-    trials = []
-    counts = Counter()
-    blocked = None
-    for t in range(args.trials):
-        result = protocols.teleport(psi, mode, _trial_rng(args.seed, t))
-        counts[result.outcome_kind.label] += 1
-        entry = {
-            "outcome": result.outcome_kind.label,
-            "bits": list(result.classical_bits),
-        }
-        if result.blocked is not None:
-            blocked = result.blocked
-            entry["determined"] = False
-        else:
-            fid = abs(psi.overlap(result.bob_state_after_correction)) ** 2
-            entry["determined"] = True
-            entry["fidelity"] = float(fid)
-        trials.append(entry)
+def _draws(sampler, args) -> list[int]:
+    """One index per trial from a prepared sampler, each from its own stream."""
+    return [sampler.draw(_trial_rng(args.seed, t)) for t in range(args.trials)]
 
-    probs = born_probabilities(protocols.lifted_bell_observable(), protocols.teleport_input(psi))
-    born = {kind.label: float(probs[kind.value]) for kind in protocols.BellKind}
+
+def _entries(indices: list[int], entry) -> list:
+    """The report entry of every drawn index, built once per distinct index."""
+    built = {idx: entry(idx) for idx in dict.fromkeys(indices)}
+    return [built[idx] for idx in indices]
+
+
+def _run_teleport(args) -> tuple[dict, int]:
+    psi = _input_qubit(args.alpha, args.beta)
+    run = protocols.Teleportation(psi, SemanticsMode.from_string(args.mode))
+    indices = _draws(run, args)
+
+    def entry(idx):
+        result = run.branch(idx)
+        entry = {"outcome": result.outcome_kind.label, "bits": list(result.classical_bits),
+                 "determined": result.blocked is None}
+        if result.blocked is None:
+            entry["fidelity"] = float(abs(psi.overlap(result.bob_state_after_correction)) ** 2)
+        return entry
+
+    born = {kind.label: float(run.probabilities[kind.value]) for kind in protocols.BellKind}
+    outcomes = _entries(indices, entry)
+    counts = Counter(e["outcome"] for e in outcomes)
+    blocked = run.branch(indices[-1]).blocked
     payload = {
         "born_probabilities": born,
-        "outcomes": trials,
-        "frequencies": {k: counts.get(k, 0) / max(args.trials, 1)
-                        for k in sorted(born)},
+        "outcomes": outcomes,
+        "frequencies": {k: counts.get(k, 0) / args.trials for k in sorted(born)},
         "blocked": None if blocked is None else {
             "dimension": blocked.dimension,
             "distinct_eigenvalues": blocked.distinct_eigenvalues,
@@ -183,28 +189,21 @@ def _dj_oracle(args) -> algorithms.BooleanOracle:
 
 
 def _run_dj(args) -> tuple[dict, int]:
-    mode = SemanticsMode.from_string(args.mode)
     oracle = _dj_oracle(args)
-    trials = []
-    verdicts = Counter()
-    zero_prob = None
-    for t in range(args.trials):
-        res = algorithms.deutsch_jozsa(oracle, mode, _trial_rng(args.seed, t))
-        zero_prob = res.zero_probability
-        verdicts[res.verdict] += 1
-        trials.append({"verdict": res.verdict, "sampled_z": res.sampled_z})
+    readout = algorithms.dj_readout(oracle)
+    outcomes = _entries(_draws(readout, args), lambda z: {
+        "verdict": "constant" if z == 0 else "balanced", "sampled_z": z})
     payload = {
         "n": oracle.n,
         "oracle_is_constant": oracle.is_constant,
-        "zero_probability": zero_prob,
-        "outcomes": trials,
-        "verdicts": dict(sorted(verdicts.items())),
+        "zero_probability": float(readout.probabilities[0]),
+        "outcomes": outcomes,
+        "verdicts": dict(sorted(Counter(e["verdict"] for e in outcomes).items())),
     }
     return payload, EXIT_OK
 
 
 def _run_simon(args) -> tuple[dict, int]:
-    mode = SemanticsMode.from_string(args.mode)
     if args.oracle:
         oracle = algorithms.load_oracle(args.oracle, "simon")
     else:
@@ -212,9 +211,10 @@ def _run_simon(args) -> tuple[dict, int]:
             raise PostulateSimError("simon: provide --oracle or both --n and --period")
         oracle = algorithms.simon_oracle(args.n, int(args.period, 2))
     n = oracle.n
+    readout = algorithms.simon_readout(oracle)
     trials = []
     for t in range(args.trials):
-        res = algorithms.simon(oracle, mode, _trial_rng(args.seed, t), args.max_samples)
+        res = algorithms.simon_period(readout, n, _trial_rng(args.seed, t), args.max_samples)
         trials.append({
             "period": f"{res.period:0{n}b}",
             "samples": [f"{j:0{n}b}" for j in res.samples],
@@ -229,23 +229,15 @@ def _run_simon(args) -> tuple[dict, int]:
 
 
 def _run_grover(args) -> tuple[dict, int]:
-    mode = SemanticsMode.from_string(args.mode)
-    trials = []
-    hits = 0
-    marked_prob = None
-    iterations = None
-    for t in range(args.trials):
-        res = algorithms.grover(args.n, args.marked, mode, _trial_rng(args.seed, t))
-        marked_prob, iterations = res.marked_probability, res.iterations
-        hits += int(res.hit)
-        trials.append({"found": res.found, "hit": res.hit})
+    readout, marked = algorithms.grover_readout(args.n, args.marked)
+    outcomes = _entries(_draws(readout, args), lambda idx: {"found": idx, "hit": idx in marked})
     payload = {
         "n": args.n,
-        "marked": sorted(set(args.marked)),
-        "iterations": iterations,
-        "marked_probability": marked_prob,
-        "outcomes": trials,
-        "hit_rate": hits / max(args.trials, 1),
+        "marked": marked,
+        "iterations": algorithms.grover_iterations(args.n, len(marked)),
+        "marked_probability": float(np.sum(readout.probabilities[marked])),
+        "outcomes": outcomes,
+        "hit_rate": sum(e["hit"] for e in outcomes) / args.trials,
     }
     return payload, EXIT_OK
 
@@ -253,25 +245,24 @@ def _run_grover(args) -> tuple[dict, int]:
 def _run_measure(args) -> tuple[dict, int]:
     mode = SemanticsMode.from_string(args.mode)
     psi = _input_qubit(args.alpha, args.beta)
-    obs = Observable(_PAULIS[args.observable], (2,))
-    probs = born_probabilities(obs, psi)
-    trials = []
-    counts = Counter()
-    for t in range(args.trials):
-        outcome = measure(obs, psi, mode, _trial_rng(args.seed, t))
-        counts[outcome.eigenvalue] += 1
+    readout = ObservableReadout(Observable(_PAULIS[args.observable], (2,)), psi)
+
+    def entry(idx):
+        outcome = readout.outcome(idx, mode)
         entry = {"eigenvalue": outcome.eigenvalue, "determined": outcome.determined}
         if outcome.post_state is not None:
             entry["post_state"] = _state_json(outcome.post_state)
-        trials.append(entry)
+        return entry
+
+    outcomes = _entries(_draws(readout, args), entry)
+    counts = Counter(e["eigenvalue"] for e in outcomes)
+    eigenvalues = readout.decomposition.eigenvalues
     payload = {
         "observable": args.observable,
-        "born_probabilities": {
-            str(ev): float(p)
-            for ev, p in zip(obs.decomposition.eigenvalues, probs)
-        },
-        "outcomes": trials,
-        "frequencies": {str(ev): c / max(args.trials, 1) for ev, c in sorted(counts.items())},
+        "born_probabilities": {str(ev): float(p)
+                               for ev, p in zip(eigenvalues, readout.probabilities)},
+        "outcomes": outcomes,
+        "frequencies": {str(ev): c / args.trials for ev, c in sorted(counts.items())},
     }
     return payload, EXIT_OK
 
@@ -329,6 +320,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be >= 1")
+    if getattr(args, "trials", 1) > MAX_TRIALS:
+        # the report grows by up to about 1.3 KiB per trial
+        parser.error(f"--trials must be <= {MAX_TRIALS}")
     try:
         report, code = run(args)
         # allow_nan=False: a non-finite number is an error, not a report

@@ -13,7 +13,8 @@ Partial measurement of a locally nondegenerate observable follows the
 composite-space Born rule for probabilities and always pins the measured
 subsystem to the outcome eigenstate. `RegisterReadout` is the special case of
 a computational-basis readout, computed from the amplitudes without building
-the diagonal observable.
+the diagonal observable. A readout is prepared once per state: its Born
+vector is computed once, and every draw reuses one running sum (`Sampler`).
 """
 from __future__ import annotations
 
@@ -24,17 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateLocalObservable,
-    DimensionMismatch,
-    IndexOutOfRange,
-)
-from .hilbert import (
-    Observable,
-    SpectralDecomposition,
-    StateVector,
-    phase_normalize,
-)
+from .errors import DegenerateLocalObservable, DimensionMismatch, IndexOutOfRange
+from .hilbert import Observable, StateVector, phase_normalize
 
 
 class SemanticsMode(enum.Enum):
@@ -82,10 +74,14 @@ class MeasurementOutcome:
         self.projector_rank = projector_rank
         self._states_fn = states_fn
         self._projector_fn = projector_fn
+        self._built_states = None
 
-    @cached_property
+    @property
     def _states(self) -> tuple:
-        return self._states_fn()
+        # not a cached_property, whose first read takes a lock on Python 3.11
+        if self._built_states is None:
+            self._built_states = self._states_fn()
+        return self._built_states
 
     @property
     def post_state(self) -> Optional[StateVector]:
@@ -146,81 +142,84 @@ def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
     return a.decomposition.projection_norms_sq(psi.amplitudes)
 
 
-def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with the given probabilities; never a zero-probability one.
+class Sampler:
+    """Draws indices with fixed probabilities; never a zero-probability one.
 
-    One uniform draw, scaled by the total, is located in the running sum. A
-    draw that rounding puts at or past the last partial sum falls back to the
-    last nonzero index.
+    One uniform draw, scaled by the total, is located in the running sum,
+    which the first draw computes and every later draw reuses. A draw that
+    rounding puts at or past the last partial sum falls back to the last
+    nonzero index.
     """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    r = rng.random() * float(np.sum(probabilities))
-    idx = int(np.searchsorted(np.cumsum(probabilities), r, side="right"))
-    if idx == probabilities.size:
-        nonzero = np.flatnonzero(probabilities)
-        idx = int(nonzero[-1]) if nonzero.size else 0
-    return idx
+
+    def __init__(self, probabilities):
+        self.probabilities = np.asarray(probabilities, dtype=np.float64)
+        self._running_sum: Optional[tuple[float, np.ndarray]] = None
+
+    def draw(self, rng: np.random.Generator) -> int:
+        if self._running_sum is None:
+            self._running_sum = float(np.sum(self.probabilities)), np.cumsum(self.probabilities)
+        total, running = self._running_sum
+        idx = int(np.searchsorted(running, rng.random() * total, side="right"))
+        if idx == self.probabilities.size:
+            nonzero = np.flatnonzero(self.probabilities)
+            idx = int(nonzero[-1]) if nonzero.size else 0
+        return idx
+
+    def choose(self, rng, force_index: Optional[int] = None) -> int:
+        """A drawn index, or `force_index` when one is given."""
+        if force_index is None:
+            return self.draw(rng)
+        if not 0 <= force_index < self.probabilities.size:
+            raise IndexOutOfRange(f"forced index {force_index} out of range")
+        return force_index
 
 
-def _choose(probabilities: np.ndarray, rng, force_index: Optional[int]) -> int:
-    if force_index is None:
-        return sample_index(probabilities, rng)
-    if not 0 <= force_index < len(probabilities):
-        raise IndexOutOfRange(f"forced index {force_index} out of range")
-    return force_index
+class ObservableReadout(Sampler):
+    """Measurement of an observable on one state, prepared once: the Born
+    vector is computed here, and `outcome` builds the result of any index."""
+
+    def __init__(self, a: Observable, psi: StateVector):
+        _check_state(a, psi)
+        self.decomposition = a.decomposition
+        self.psi = psi
+        super().__init__(self.decomposition.projection_norms_sq(psi.amplitudes))
+
+    def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
+        dec, psi = self.decomposition, self.psi
+        block = dec.blocks[idx]
+        mult = block.shape[1]
+        determined = mode is SemanticsMode.LUEDERS or mult == 1
+
+        def states():
+            projected = dec.project(psi.amplitudes, idx)
+            norm = np.linalg.norm(projected)
+            lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
+            if mode is SemanticsMode.LUEDERS:
+                return lueders, None, None
+            if determined:
+                return StateVector(phase_normalize(block[:, 0]), psi.dims), None, None
+            return None, lueders, None
+
+        return MeasurementOutcome(
+            eigenvalue=float(dec.eigenvalues[idx]),
+            probability=float(self.probabilities[idx]),
+            determined=determined,
+            mode=mode,
+            states_fn=states,
+            projector_fn=lambda: block @ block.conj().T,
+            projector_rank=mult,
+        )
 
 
-def measure(
-    a: Observable,
-    psi: StateVector,
-    mode: SemanticsMode,
-    rng: np.random.Generator,
-    force_index: Optional[int] = None,
-) -> MeasurementOutcome:
+def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random.Generator,
+            force_index: Optional[int] = None) -> MeasurementOutcome:
     """Sample one outcome of measuring `a` on `psi` under the given semantics.
 
     `force_index` selects an eigenvalue deterministically (must have nonzero
     probability); used for exhaustive branch coverage in tests and protocols.
     """
-    _check_state(a, psi)
-    dec = a.decomposition
-    probs = dec.projection_norms_sq(psi.amplitudes)
-    idx = _choose(probs, rng, force_index)
-    return _build_outcome(dec, psi, mode, idx, probs[idx])
-
-
-def _build_outcome(
-    dec: SpectralDecomposition,
-    psi: StateVector,
-    mode: SemanticsMode,
-    idx: int,
-    prob: float,
-) -> MeasurementOutcome:
-    block = dec.blocks[idx]
-    mult = block.shape[1]
-    determined = mode is SemanticsMode.LUEDERS or mult == 1
-
-    def states():
-        projected = dec.project(psi.amplitudes, idx)
-        norm = np.linalg.norm(projected)
-        lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
-        if mode is SemanticsMode.LUEDERS:
-            post = lueders
-        elif determined:
-            post = StateVector(phase_normalize(block[:, 0]), psi.dims)
-        else:
-            post = None
-        return post, None if determined else lueders, None
-
-    return MeasurementOutcome(
-        eigenvalue=float(dec.eigenvalues[idx]),
-        probability=float(prob),
-        determined=determined,
-        mode=mode,
-        states_fn=states,
-        projector_fn=lambda: block @ block.conj().T,
-        projector_rank=mult,
-    )
+    readout = ObservableReadout(a, psi)
+    return readout.outcome(readout.choose(rng, force_index), mode)
 
 
 def lift(a: Observable, subsystem: int, dims) -> Observable:
@@ -288,7 +287,7 @@ def partial_measure(
     left undetermined.
     """
     basis, comps, probs = _local_components(a, subsystem, psi)
-    idx = _choose(probs, rng, force_index)
+    idx = Sampler(probs).choose(rng, force_index)
 
     def project():
         # |alpha_j> x phi, reassembled in the original axis order
@@ -317,7 +316,7 @@ def _local_outcome(
     def states():
         local = StateVector(phase_normalize(local_vec), (local_vec.size,))
         if mode is not SemanticsMode.LUEDERS and rest_dim == 1:
-            # the eigenvector itself, as in `_build_outcome`, so a forced
+            # the eigenvector itself, as in `ObservableReadout`, so a forced
             # zero-probability outcome still has a post-state
             return StateVector(phase_normalize(local_vec), dims), None, local
         projected = project()
@@ -343,16 +342,16 @@ def _local_outcome(
     )
 
 
-class RegisterReadout:
+class RegisterReadout(Sampler):
     """Computational-basis readout of one subsystem: eigenvalue k on |k>.
 
     This is `partial_measure` with the diagonal observable diag(0..d-1),
     without building it: the Born probabilities are the marginal of |psi|^2
-    over the other subsystems, computed once here and shared by every
-    `measure` call, and the Lueders post-state is the slice of the outcome
-    index. The readout is nondegenerate on its subsystem, so strict von
-    Neumann determines the composite post-state only when the subsystem is
-    the whole space.
+    over the other subsystems, computed once here and shared by every draw
+    and `measure` call, and the Lueders post-state is the slice of the
+    outcome index. The readout is nondegenerate on its subsystem, so strict
+    von Neumann determines the composite post-state only when the subsystem
+    is the whole space; the drawn index does not depend on the mode.
     """
 
     def __init__(self, psi: StateVector, subsystem: int):
@@ -360,15 +359,11 @@ class RegisterReadout:
         self.psi = psi
         self.subsystem = subsystem
         self._mat = psi.amplitudes.reshape(before, psi.dims[subsystem], after)
-        self.probabilities = np.sum(np.abs(self._mat) ** 2, axis=(0, 2))
+        super().__init__(np.sum(np.abs(self._mat) ** 2, axis=(0, 2)))
 
-    def measure(
-        self,
-        mode: SemanticsMode,
-        rng: np.random.Generator,
-        force_index: Optional[int] = None,
-    ) -> MeasurementOutcome:
-        idx = _choose(self.probabilities, rng, force_index)
+    def measure(self, mode: SemanticsMode, rng: np.random.Generator,
+                force_index: Optional[int] = None) -> MeasurementOutcome:
+        idx = self.choose(rng, force_index)
 
         def project():
             projected = np.zeros_like(self._mat)

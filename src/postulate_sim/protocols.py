@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import Observable, StateVector, phase_normalize
-from .measurement import MeasurementOutcome, SemanticsMode, lift, measure
+from .measurement import ObservableReadout, SemanticsMode, lift
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -101,56 +101,52 @@ def teleport_input(psi_in: StateVector) -> StateVector:
                        (4, 2))
 
 
-def teleport(
-    psi_in: StateVector,
-    mode: SemanticsMode,
-    rng: Optional[np.random.Generator] = None,
-    force_outcome: Optional[BellKind] = None,
-) -> TeleportResult:
-    """Run one teleportation trial; `force_outcome` pins the Bell branch."""
-    if psi_in.dim != 2:
-        raise ValueError("teleport expects a single-qubit input state")
-    total = teleport_input(psi_in)
+class Teleportation(ObservableReadout):
+    """|psi>|Phi+> read out in the lifted Bell basis, prepared once.
 
-    observable = lifted_bell_observable()
-    force_index = None if force_outcome is None else force_outcome.value
-    outcome = measure(observable, total, mode, rng, force_index=force_index)
-    kind = BellKind(int(round(outcome.eigenvalue)))
-    label, gate = _CORRECTIONS[kind]
+    The Born vector of the four Bell outcomes is computed here and serves
+    every draw; the result of each branch (index = `BellKind` value) is
+    built on first read and reused.
+    """
 
-    if mode is SemanticsMode.STRICT_VON_NEUMANN:
-        dec = observable.decomposition
-        report = DegeneracyReport(
-            dimension=observable.dim,
-            distinct_eigenvalues=len(dec.eigenvalues),
-            multiplicities=list(dec.multiplicities),
-        )
-        return TeleportResult(
+    def __init__(self, psi_in: StateVector, mode: SemanticsMode):
+        if psi_in.dim != 2:
+            raise ValueError("teleport expects a single-qubit input state")
+        super().__init__(lifted_bell_observable(), teleport_input(psi_in))
+        self.mode = mode
+        self._branches: dict[int, TeleportResult] = {}
+
+    def branch(self, idx: int) -> TeleportResult:
+        """The result of Bell branch `idx`, built on its first read."""
+        if idx in self._branches:
+            return self._branches[idx]
+        outcome = self.outcome(idx, self.mode)
+        kind = BellKind(int(round(outcome.eigenvalue)))
+        label, gate = _CORRECTIONS[kind]
+        bob_before = bob_after = blocked = None
+        if self.mode is SemanticsMode.STRICT_VON_NEUMANN:
+            dec = self.decomposition
+            blocked = DegeneracyReport(self.psi.dim, len(dec.eigenvalues), list(dec.multiplicities))
+        else:
+            # the post-state is |B_k> x phi; contract out the Bell factor
+            phi = bell_state(kind).amplitudes.conj() @ outcome.post_state.amplitudes.reshape(4, 2)
+            bob_before = StateVector(phase_normalize(phi / np.linalg.norm(phi)), (2,))
+            bob_after = StateVector(phase_normalize(gate @ bob_before.amplitudes), (2,))
+        result = self._branches[idx] = TeleportResult(
             outcome_kind=kind,
             classical_bits=kind.classical_bits,
-            bob_state_before_correction=None,
+            bob_state_before_correction=bob_before,
             correction=label,
-            bob_state_after_correction=None,
-            blocked=report,
+            bob_state_after_correction=bob_after,
+            blocked=blocked,
             probability=outcome.probability,
         )
-
-    bob_before = _extract_receiver_state(outcome, kind)
-    bob_after = StateVector(phase_normalize(gate @ bob_before.amplitudes), (2,))
-    return TeleportResult(
-        outcome_kind=kind,
-        classical_bits=kind.classical_bits,
-        bob_state_before_correction=bob_before,
-        correction=label,
-        bob_state_after_correction=bob_after,
-        blocked=None,
-        probability=outcome.probability,
-    )
+        return result
 
 
-def _extract_receiver_state(outcome: MeasurementOutcome, kind: BellKind) -> StateVector:
-    # post-state is |B_k> x phi; contract out the Bell factor
-    post = outcome.post_state.amplitudes.reshape(4, 2)
-    bell = bell_state(kind).amplitudes
-    phi = bell.conj() @ post
-    return StateVector(phase_normalize(phi / np.linalg.norm(phi)), (2,))
+def teleport(psi_in: StateVector, mode: SemanticsMode, rng: Optional[np.random.Generator] = None,
+             force_outcome: Optional[BellKind] = None) -> TeleportResult:
+    """Run one teleportation trial; `force_outcome` pins the Bell branch."""
+    run = Teleportation(psi_in, mode)
+    return run.branch(run.choose(rng, None if force_outcome is None else force_outcome.value))
+

@@ -333,3 +333,32 @@ class TestGrover:
             a = alg.grover(3, [2, 5], LUEDERS, np.random.default_rng(seed))
             b = alg.grover(3, [2, 5], STRICT, np.random.default_rng(seed))
             assert (a.found, a.marked_probability) == (b.found, b.marked_probability)
+
+
+class TestPreparedReadouts:
+    """Each driver is its prepared readout plus draws from the same stream."""
+
+    @pytest.mark.parametrize("mode", [SemanticsMode.LUEDERS, SemanticsMode.STRICT_VON_NEUMANN])
+    def test_drivers_match_their_readouts(self, mode):
+        dj = alg.balanced_oracle(4, np.random.default_rng(1))
+        simon_oracle = alg.simon_oracle(4, 0b1011, np.random.default_rng(2))
+        dj_readout = alg.dj_readout(dj)
+        simon_readout = alg.simon_readout(simon_oracle)
+        grover_readout, marked = alg.grover_readout(5, [7, 3, 7])
+        assert marked == [3, 7]
+        for seed in range(30):
+            rng = lambda: np.random.default_rng(seed)
+            res = alg.deutsch_jozsa(dj, mode, rng())
+            assert res.sampled_z == dj_readout.draw(rng())
+            assert res.zero_probability == float(dj_readout.probabilities[0])
+            prepared = alg.simon_period(simon_readout, 4, rng(), 50)
+            assert alg.simon(simon_oracle, mode, rng(), 50) == prepared
+            assert prepared.period == 0b1011
+            res = alg.grover(5, [7, 3, 7], mode, rng())
+            assert res.found == grover_readout.draw(rng())
+            assert res.marked_probability == float(np.sum(grover_readout.probabilities[marked]))
+
+    def test_simon_period_checks_max_samples(self):
+        readout = alg.simon_readout(alg.simon_oracle(4, 0b11))
+        with pytest.raises(ValueError, match="max_samples"):
+            alg.simon_period(readout, 4, np.random.default_rng(0), 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
-from postulate_sim import cli
+from postulate_sim import cli, kernels, protocols
 
 
 TESTS = Path(__file__).resolve().parent
@@ -96,23 +97,89 @@ class TestTeleportCommand:
             assert abs(freq - 0.25) < 0.02
 
 
+def report_digest(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+# sha256 of (exit code, stdout) per argv, recorded before the trial loops
+# drew from one prepared state: any change to the draw order or to the report
+# bytes shows here
+PINNED_REPORTS = {
+    ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8", "--trials", "50", "--seed", "11"):
+        "2461b7ae875df6eebeded798d09a91d1934f2d89cf9f1cf3e046eda2ccf10a53",
+    ("grover", "--n", "3", "--marked", "2,5", "--trials", "20", "--seed", "4"):
+        "31cbbc37dc0c7c2d30c6d121c61ab03d7ac84db153aa8e9863213fdab63e279d",
+    ("measure", "--observable", "x", "--alpha", "0.6,0", "--beta", "0.8,0",
+     "--trials", "30", "--seed", "9"):
+        "18402dd46f4b26f600443def75f279ec0e9c77c0e9f35e2484aaddf1e4fd5fec",
+    ("dj", "--n", "4", "--kind", "balanced", "--seed", "2", "--trials", "5"):
+        "0d7ed413b731e37a9bc1ebd904d3e5af5d9f3a91ba28487eee34748808fefd2a",
+    ("simon", "--n", "4", "--period", "1011", "--trials", "6", "--seed", "5"):
+        "fafd7f2e6a50c7d32bcbb8a398a1c300a0a7519e42e3ef94c0293892589fcf5c",
+    ("simon", "--oracle", "s101.txt", "--trials", "4", "--seed", "3"):
+        "40abd283d1ba91fd97c4ac1def43d937df1c7492cad3e49769c03507ff247a02",
+    ("teleport", "--mode", "von-neumann", "--alpha", "0.6,0", "--beta", "0.8,0",
+     "--trials", "40", "--seed", "2"):
+        "553eddbe9fe0444dbc211e4ec4662513082e80f9f1cbf6232b39e0800c533d1a",
+    ("measure", "--mode", "von-neumann", "--observable", "y", "--alpha", "0.6,0",
+     "--beta", "0,0.8", "--trials", "30", "--seed", "8"):
+        "b741c6f83537aa020a6a791b52bd7bf53ad7e80db0faf6b0e81a830794d0f5f1",
+}
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8", "--trials", "50", "--seed", "11"),
-        ("grover", "--n", "3", "--marked", "2,5", "--trials", "20", "--seed", "4"),
-        ("measure", "--observable", "x", "--alpha", "0.6,0", "--beta", "0.8,0",
-         "--trials", "30", "--seed", "9"),
-        ("dj", "--n", "4", "--kind", "balanced", "--seed", "2", "--trials", "5"),
-    ])
-    def test_byte_identical_reports(self, capsys, argv):
-        _, first, _ = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("argv", list(PINNED_REPORTS))
+    def test_byte_identical_reports(self, capsys, monkeypatch, tmp_path, argv):
+        # a relative oracle path, so the echoed config does not depend on tmp_path
+        monkeypatch.chdir(tmp_path)
+        alg.save_oracle(alg.simon_oracle(3, 0b101, np.random.default_rng(6)), "s101.txt")
+        code, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+        assert report_digest(code, first) == PINNED_REPORTS[argv]
 
     def test_json_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "grover", "--n", "2", "--marked", "1", "--trials", "5")
         report = json.loads(out)
         assert json.loads(json.dumps(report, sort_keys=True)) == report
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPreparedOnce:
+    """A run builds its state once; its trials only draw."""
+
+    @pytest.mark.parametrize("argv,kernel", [
+        (("grover", "--n", "10", "--marked", "3", "--trials", "50"), "grover_amplitudes"),
+        (("dj", "--n", "6", "--kind", "balanced", "--trials", "50"), "dj_argument_amplitudes"),
+        (("simon", "--n", "4", "--period", "1011", "--trials", "10"), "simon_state_amplitudes"),
+    ])
+    def test_kernel_runs_once_per_run(self, capsys, monkeypatch, argv, kernel):
+        calls = count_calls(monkeypatch, kernels, kernel)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(json.loads(out)["outcomes"]) == int(argv[-1])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode,exit_code", [("lueders", 0), ("von-neumann", 2)])
+    def test_teleport_builds_at_most_four_branches(self, capsys, monkeypatch, mode, exit_code):
+        calls = count_calls(monkeypatch, protocols, "TeleportResult")
+        code, out, _ = run_cli(capsys, "teleport", "--mode", mode, "--alpha", "0.6,0",
+                               "--beta", "0,0.8", "--trials", "1000", "--seed", "5")
+        assert code == exit_code
+        assert len(json.loads(out)["outcomes"]) == 1000
+        assert 1 <= len(calls) <= 4
 
 
 class TestAlgorithmCommands:
@@ -233,6 +300,18 @@ class TestErrors:
         code, out, err = run_cli(capsys, "measure", "--alpha", "0,0", "--beta", "0,0")
         assert (code, out) == (1, "")
         assert err == "postulate-sim: error: alpha and beta cannot both be zero\n"
+
+    @pytest.mark.parametrize("trials,message", [
+        ("0", "--trials must be >= 1"),
+        (str(cli.MAX_TRIALS + 1), f"--trials must be <= {cli.MAX_TRIALS}"),
+        (str(2 ** 70), f"--trials must be <= {cli.MAX_TRIALS}"),
+    ])
+    def test_trials_out_of_range_exit_1(self, capsys, trials, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["teleport", "--trials", trials])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.splitlines()[-1] == f"postulate-sim: error: {message}"
 
     def test_dj_without_inputs_exit_1(self, capsys):
         assert cli.main(["dj"]) == 1

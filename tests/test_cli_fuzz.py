@@ -26,7 +26,7 @@ _FUZZ_FLAGS = {
 def _fuzz_argv(oracle_paths):
     """Strategy for argv: a command, then its flags with values near and past
     their valid ranges, and maybe one stray token. Trial and sample counts
-    stay small so every example is quick; `--help`, `--version` and
+    stay small, or past the trial bound, so every example is quick; `--help`, `--version` and
     `--format text` are left out because their output is not a JSON report."""
     small = st.integers(-1, 4).map(str)
     widths = st.one_of(st.integers(-2, 17), st.sampled_from([40, 2 ** 70])).map(str)
@@ -34,7 +34,8 @@ def _fuzz_argv(oracle_paths):
     values = {
         "--mode": st.sampled_from(["lueders", "von-neumann", "bogus"]),
         "--seed": st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 64 + 1, -2 ** 70])).map(str),
-        "--trials": small,
+        # past cli.MAX_TRIALS: exit 1 at once, not a report that grows until memory runs out
+        "--trials": st.one_of(small, st.sampled_from(["100001", str(2 ** 70)])),
         "--max-samples": small,
         "--format": st.just("json"),
         "--alpha": st.tuples(number, number).map(lambda p: f"{p[0]},{p[1]}"),

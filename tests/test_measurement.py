@@ -9,7 +9,9 @@ from postulate_sim.errors import (
 from postulate_sim.hilbert import Observable, StateVector, phase_equal, tensor_op, tensor_state
 from postulate_sim.algorithms import argument_observable
 from postulate_sim.measurement import (
+    ObservableReadout,
     RegisterReadout,
+    Sampler,
     SemanticsMode,
     born_probability,
     born_probabilities,
@@ -18,7 +20,6 @@ from postulate_sim.measurement import (
     measure,
     partial_measure,
     partial_probabilities,
-    sample_index,
 )
 from postulate_sim.protocols import BellKind, bell_basis_observable, bell_state
 from test_hilbert import planted_observable
@@ -359,26 +360,55 @@ class FixedDraw:
 
 class TestSampleIndex:
     def test_matches_loop_reference(self):
+        """One prepared sampler per vector serves every draw, fresh or reused."""
         rng = np.random.default_rng(12)
         draws = [0.0, 0.5, 1.0 - 2.0 ** -53]
         for _ in range(300):
             p = rng.random(int(rng.integers(1, 40))) ** 3
             p[rng.random(p.size) < 0.4] = 0.0
             draws.append(float(rng.random()))
+            sampler = Sampler(p)
             for r01 in draws[-4:]:
-                assert sample_index(p, FixedDraw(r01)) == loop_sample_index(p, r01)
+                assert sampler.draw(FixedDraw(r01)) == loop_sample_index(p, r01)
+                assert Sampler(p).draw(FixedDraw(r01)) == loop_sample_index(p, r01)
 
     def test_rounded_total_falls_back_to_last_nonzero(self):
         # pairwise np.sum gives 1.0 where the running sum stops at 1 - 2^-53
         p = np.array([0.1] * 10 + [0.0, 0.0])
         r01 = 1.0 - 2.0 ** -53
         assert r01 * float(np.sum(p)) >= np.cumsum(p)[-1]
-        assert sample_index(p, FixedDraw(r01)) == loop_sample_index(p, r01) == 9
+        sampler = Sampler(p)
+        for _ in range(2):
+            assert sampler.draw(FixedDraw(r01)) == loop_sample_index(p, r01) == 9
 
     def test_never_zero_probability(self):
         p = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
         rng = np.random.default_rng(0)
-        assert {sample_index(p, rng) for _ in range(200)} == {1, 3}
+        sampler = Sampler(p)
+        assert {sampler.draw(rng) for _ in range(200)} == {1, 3}
+
+    def test_choose_forces_or_draws(self):
+        sampler = Sampler([0.0, 1.0, 0.0])
+        assert sampler.choose(np.random.default_rng(1)) == 1
+        assert sampler.choose(None, force_index=2) == 2
+        for bad in (-1, 3):
+            with pytest.raises(IndexOutOfRange):
+                sampler.choose(None, force_index=bad)
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_readouts_draw_as_their_measure(self, mode):
+        """A readout's draw is the index its `measure` returns from the same stream."""
+        rng = np.random.default_rng(21)
+        psi = random_state(rng, 8, (2, 4))
+        a = random_hermitian(rng, 8)
+        full, register = ObservableReadout(a, psi), RegisterReadout(psi, 1)
+        for seed in range(40):
+            idx = full.draw(np.random.default_rng(seed))
+            out = measure(a, psi, mode, np.random.default_rng(seed))
+            assert out.eigenvalue == full.outcome(idx, mode).eigenvalue
+            assert out.eigenvalue == a.decomposition.eigenvalues[idx]
+            assert register.draw(np.random.default_rng(seed)) == \
+                register.measure(mode, np.random.default_rng(seed)).eigenvalue
 
 
 # register layouts of 1-4 qubits, measured first, in the middle and last

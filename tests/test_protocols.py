@@ -8,6 +8,7 @@ from postulate_sim.protocols import (
     bell_basis_observable,
     bell_state,
     correction_gate,
+    Teleportation,
     lifted_bell_observable,
     teleport,
 )
@@ -154,3 +155,43 @@ class TestTeleport:
     def test_rejects_multiqubit_input(self):
         with pytest.raises(ValueError):
             teleport(bell_state(BellKind.PHI_PLUS), LUEDERS, np.random.default_rng(0))
+
+
+def assert_same_result(a, b):
+    assert (a.outcome_kind, a.classical_bits, a.correction, a.probability) == \
+        (b.outcome_kind, b.classical_bits, b.correction, b.probability)
+    assert a.blocked == b.blocked
+    for x, y in [(a.bob_state_before_correction, b.bob_state_before_correction),
+                 (a.bob_state_after_correction, b.bob_state_after_correction)]:
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
+
+
+class TestTeleportation:
+    """`teleport` is one prepared `Teleportation` plus one draw or forced branch."""
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_library_is_prepare_plus_one_draw(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            psi = random_qubit(rng)
+            run = Teleportation(psi, mode)
+            np.testing.assert_array_equal(run.probabilities, born_probabilities(
+                lifted_bell_observable(), run.psi))
+            for seed in range(8):
+                idx = run.draw(np.random.default_rng(seed))
+                assert_same_result(run.branch(idx), teleport(psi, mode, np.random.default_rng(seed)))
+            for kind in BellKind:
+                assert_same_result(run.branch(kind.value), teleport(psi, mode, force_outcome=kind))
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_each_branch_is_built_once(self, mode):
+        run = Teleportation(random_qubit(np.random.default_rng(32)), mode)
+        first = [run.branch(kind.value) for kind in BellKind]
+        assert all(a is run.branch(kind.value) for a, kind in zip(first, BellKind))
+        assert [r.outcome_kind for r in first] == list(BellKind)
+
+    def test_rejects_wide_input(self):
+        with pytest.raises(ValueError):
+            Teleportation(StateVector(np.eye(4)[0], (4,)), LUEDERS)
