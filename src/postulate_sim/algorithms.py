@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, InvalidMarkedSet, InvalidOracle, RankDeficient
-from .hilbert import MAX_DIM, Observable, StateVector
+from .hilbert import MAX_DIM, StateVector
 from .measurement import RegisterReadout, SemanticsMode
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -125,6 +124,14 @@ def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> B
 # ---------------------------------------------------------------------------
 # Oracle truth-table files: one line per input, "inputbits outputbits".
 
+def parse_bits(text: str) -> int:
+    """A bit string of 0s and 1s as an int; unlike `int(text, 2)`, no sign,
+    `0b` prefix, `_` or surrounding whitespace."""
+    if not text or not set(text) <= {"0", "1"}:
+        raise InvalidOracle(f"expected a bit string of 0s and 1s, got {text!r}")
+    return int(text, 2)
+
+
 def save_oracle(oracle: BooleanOracle, path) -> None:
     width = 1 if oracle.kind == "dj" else oracle.n
     with open(path, "w") as fh:
@@ -146,19 +153,21 @@ def load_oracle(path, kind: str) -> BooleanOracle:
             if len(parts) != 2:
                 raise InvalidOracle(f"{path}:{lineno}: expected 'input output', got {line!r}")
             try:
-                x, y = int(parts[0], 2), int(parts[1], 2)
-            except ValueError as exc:
+                x, y = parse_bits(parts[0]), parse_bits(parts[1])
+            except InvalidOracle as exc:
                 raise InvalidOracle(f"{path}:{lineno}: {exc}") from exc
-            if n is not None and len(parts[0]) != n:
+            if n is None:
+                # the first line fixes the width: check it before reading on
+                n = len(parts[0])
+                _check_width(n, n + 1 if kind == "dj" else 2 * n)
+            elif len(parts[0]) != n:
                 raise InvalidOracle(f"{path}:{lineno}: input {parts[0]} has {len(parts[0])} bits, "
                                     f"earlier lines have {n}")
-            n = len(parts[0])
             if x in entries:
                 raise InvalidOracle(f"{path}:{lineno}: input {parts[0]} repeats an earlier line")
             entries[x] = y
     if not entries:
         raise InvalidOracle(f"{path}: empty oracle file")
-    _check_width(n, n + 1 if kind == "dj" else 2 * n)
     size = 2 ** n
     if sorted(entries) != list(range(size)):
         raise InvalidOracle(f"{path}: need exactly one line per {n}-bit input")
@@ -170,17 +179,6 @@ def load_oracle(path, kind: str) -> BooleanOracle:
 
 # ---------------------------------------------------------------------------
 # Deutsch-Jozsa
-
-@lru_cache(maxsize=None)
-def argument_observable(n: int) -> Observable:
-    """Diagonal register readout: eigenvalue z on basis state |z>.
-
-    Dense reference for `RegisterReadout`, which the drivers use instead.
-    """
-    if n < 1:
-        raise ValueError("register width must be >= 1")
-    return Observable(np.diag(np.arange(2 ** n, dtype=np.float64)), (2 ** n,))
-
 
 def dj_final_state(oracle: BooleanOracle) -> StateVector:
     """Output state before the final readout: argument register x ancilla

@@ -209,7 +209,7 @@ def _run_simon(args) -> tuple[dict, int]:
     else:
         if args.n is None or args.period is None:
             raise PostulateSimError("simon: provide --oracle or both --n and --period")
-        oracle = algorithms.simon_oracle(args.n, int(args.period, 2))
+        oracle = algorithms.simon_oracle(args.n, algorithms.parse_bits(args.period))
     n = oracle.n
     readout = algorithms.simon_readout(oracle)
     trials = []

@@ -9,7 +9,6 @@ degeneracy is an explicit, queryable property.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -86,8 +85,7 @@ class SpectralDecomposition:
     Eigenvalues closer than DEGEN_TOL are merged (mean value, combined
     eigenspace). The columns of `vectors` are grouped by eigenvalue, and
     `blocks[i]` is the column slice spanning eigenspace i (a view, not a
-    copy); the dense projectors are derived lazily since they are quadratic
-    in the dimension.
+    copy); no dense projector is ever formed.
     """
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, multiplicities):
@@ -97,10 +95,6 @@ class SpectralDecomposition:
         self.blocks = np.split(vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
         # eigenspace index of every column of `vectors`
         self._labels = np.repeat(np.arange(len(self.multiplicities)), self.multiplicities)
-
-    @cached_property
-    def projectors(self) -> list[np.ndarray]:
-        return [b @ b.conj().T for b in self.blocks]
 
     @property
     def degenerate(self) -> bool:

@@ -6,8 +6,8 @@ Two collapse rules are implemented side by side:
   the outcome eigenspace, degenerate or not.
 * Strict von Neumann: a nondegenerate outcome collapses to the eigenvector;
   a degenerate outcome leaves the post-state undetermined (the outcome still
-  carries the eigenprojector, and the Lueders state as a diagnostic, so the
-  two semantics can be contrasted in reports).
+  carries the rank of its eigenspace, and the Lueders state as a diagnostic,
+  so the two semantics can be contrasted in reports).
 
 Partial measurement of a locally nondegenerate observable follows the
 composite-space Born rule for probabilities and always pins the measured
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,59 +44,59 @@ class SemanticsMode(enum.Enum):
 
 
 class MeasurementOutcome:
-    """One sampled measurement result.
+    """One sampled measurement result; every readout's collapse rule lives here.
 
     `determined` is False only in strict von Neumann mode on a degenerate
-    outcome, in which case `post_state` is None and `lueders_post_state`
-    records what the other semantics would have claimed.
+    outcome (`projector_rank` > 1): `post_state` is then None and
+    `lueders_post_state` records what the other semantics would have claimed.
 
-    The post-states and the eigenprojector are built on first access by
-    `states_fn` and `projector_fn`, so a caller that reads only the
-    eigenvalue never pays for an array of the composite dimension.
-    `states_fn` returns (post_state, lueders_post_state, subsystem_post_state).
+    The post-state is built on first read: the eigenvector under strict von
+    Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
+    the renormalized projection `project()`, or None when that is 0. A local
+    measurement also reports its subsystem eigenstate `local`.
     """
 
-    def __init__(
-        self,
-        eigenvalue: float,
-        probability: float,
-        determined: bool,
-        mode: SemanticsMode,
-        states_fn: Callable[[], tuple],
-        projector_fn: Callable[[], np.ndarray],
-        projector_rank: int,
-    ):
+    def __init__(self, eigenvalue: float, probability: float, mode: SemanticsMode,
+                 projector_rank: int, dims: tuple, project: Callable[[], np.ndarray],
+                 eigenvector: np.ndarray, local: Optional[np.ndarray] = None):
         self.eigenvalue = eigenvalue
         self.probability = probability
-        self.determined = determined
         self.mode = mode
         self.projector_rank = projector_rank
-        self._states_fn = states_fn
-        self._projector_fn = projector_fn
-        self._built_states = None
+        self.determined = mode is SemanticsMode.LUEDERS or projector_rank == 1
+        self._dims = dims
+        self._project = project
+        self._eigenvector = eigenvector
+        self._local = local
+        self._state: Optional[StateVector] = None
+        self._subsystem_state: Optional[StateVector] = None
 
-    @property
-    def _states(self) -> tuple:
-        # not a cached_property, whose first read takes a lock on Python 3.11
-        if self._built_states is None:
-            self._built_states = self._states_fn()
-        return self._built_states
+    def _collapse(self) -> Optional[StateVector]:
+        # not a cached_property, whose first read takes a lock on Python 3.11;
+        # `_project` is dropped once the state is built
+        if self._project is not None:
+            if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
+                self._state = StateVector(phase_normalize(self._eigenvector), self._dims)
+            else:
+                projected = self._project()
+                norm = np.linalg.norm(projected)
+                self._state = StateVector(projected / norm, self._dims) if norm > 0 else None
+            self._project = self._eigenvector = None
+        return self._state
 
     @property
     def post_state(self) -> Optional[StateVector]:
-        return self._states[0]
+        return self._collapse() if self.determined else None
 
     @property
     def lueders_post_state(self) -> Optional[StateVector]:
-        return self._states[1]
+        return None if self.determined else self._collapse()
 
     @property
     def subsystem_post_state(self) -> Optional[StateVector]:
-        return self._states[2]
-
-    @cached_property
-    def eigenprojector(self) -> np.ndarray:
-        return self._projector_fn()
+        if self._subsystem_state is None and self._local is not None:
+            self._subsystem_state = StateVector(phase_normalize(self._local), (self._local.size,))
+        return self._subsystem_state
 
     def __repr__(self):
         return (
@@ -187,28 +186,9 @@ class ObservableReadout(Sampler):
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
         dec, psi = self.decomposition, self.psi
         block = dec.blocks[idx]
-        mult = block.shape[1]
-        determined = mode is SemanticsMode.LUEDERS or mult == 1
-
-        def states():
-            projected = dec.project(psi.amplitudes, idx)
-            norm = np.linalg.norm(projected)
-            lueders = StateVector(projected / norm, psi.dims) if norm > 0 else None
-            if mode is SemanticsMode.LUEDERS:
-                return lueders, None, None
-            if determined:
-                return StateVector(phase_normalize(block[:, 0]), psi.dims), None, None
-            return None, lueders, None
-
-        return MeasurementOutcome(
-            eigenvalue=float(dec.eigenvalues[idx]),
-            probability=float(self.probabilities[idx]),
-            determined=determined,
-            mode=mode,
-            states_fn=states,
-            projector_fn=lambda: block @ block.conj().T,
-            projector_rank=mult,
-        )
+        return MeasurementOutcome(float(dec.eigenvalues[idx]), float(self.probabilities[idx]),
+                                  mode, block.shape[1], psi.dims,
+                                  lambda: dec.project(psi.amplitudes, idx), block[:, 0])
 
 
 def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random.Generator,
@@ -293,53 +273,16 @@ def partial_measure(
         # |alpha_j> x phi, reassembled in the original axis order
         return np.einsum("d,ba->bda", basis[:, idx], comps[idx]).reshape(-1)
 
-    return _local_outcome(psi, subsystem, mode, float(a.decomposition.eigenvalues[idx]),
-                          probs[idx], project, basis[:, idx])
+    return _local_outcome(psi, mode, float(a.decomposition.eigenvalues[idx]), probs[idx],
+                          project, basis[:, idx])
 
 
-def _local_outcome(
-    psi: StateVector,
-    subsystem: int,
-    mode: SemanticsMode,
-    eigenvalue: float,
-    probability: float,
-    project: Callable[[], np.ndarray],
-    local_vec: np.ndarray,
-) -> MeasurementOutcome:
+def _local_outcome(psi: StateVector, mode: SemanticsMode, eigenvalue: float, probability: float,
+                   project: Callable[[], np.ndarray], local_vec: np.ndarray) -> MeasurementOutcome:
     """Outcome of a locally nondegenerate measurement with eigenvector
-    `local_vec`; `project()` returns the composite projection (E_j x I) psi
-    when a post-state is first read."""
-    rest_dim = psi.dim // local_vec.size
-    determined = mode is SemanticsMode.LUEDERS or rest_dim == 1
-    dims = psi.dims
-
-    def states():
-        local = StateVector(phase_normalize(local_vec), (local_vec.size,))
-        if mode is not SemanticsMode.LUEDERS and rest_dim == 1:
-            # the eigenvector itself, as in `ObservableReadout`, so a forced
-            # zero-probability outcome still has a post-state
-            return StateVector(phase_normalize(local_vec), dims), None, local
-        projected = project()
-        norm = np.linalg.norm(projected)
-        lueders = StateVector(projected / norm, dims) if norm > 0 else None
-        if determined:
-            return lueders, None, local
-        return None, lueders, local
-
-    def lifted_projector():
-        p_local = np.outer(local_vec, local_vec.conj())
-        before, after = _split(dims, subsystem)
-        return np.kron(np.kron(np.eye(before), p_local), np.eye(after))
-
-    return MeasurementOutcome(
-        eigenvalue=eigenvalue,
-        probability=float(probability),
-        determined=determined,
-        mode=mode,
-        states_fn=states,
-        projector_fn=lifted_projector,
-        projector_rank=rest_dim,
-    )
+    `local_vec`: E_j x I has the rank of the rest of the system."""
+    return MeasurementOutcome(eigenvalue, float(probability), mode, psi.dim // local_vec.size,
+                              psi.dims, project, local_vec, local_vec)
 
 
 class RegisterReadout(Sampler):
@@ -357,7 +300,6 @@ class RegisterReadout(Sampler):
     def __init__(self, psi: StateVector, subsystem: int):
         before, after = _split(psi.dims, subsystem)
         self.psi = psi
-        self.subsystem = subsystem
         self._mat = psi.amplitudes.reshape(before, psi.dims[subsystem], after)
         super().__init__(np.sum(np.abs(self._mat) ** 2, axis=(0, 2)))
 
@@ -372,8 +314,8 @@ class RegisterReadout(Sampler):
 
         local_vec = np.zeros(self.probabilities.size, dtype=np.complex128)
         local_vec[idx] = 1.0
-        return _local_outcome(self.psi, self.subsystem, mode, float(idx),
-                              self.probabilities[idx], project, local_vec)
+        return _local_outcome(self.psi, mode, float(idx), self.probabilities[idx], project,
+                              local_vec)
 
 
 def build_refinement(a: Observable) -> RefinementObservable:

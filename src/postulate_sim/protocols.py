@@ -85,10 +85,6 @@ _CORRECTIONS = {
 }
 
 
-def correction_gate(kind: BellKind) -> np.ndarray:
-    return _CORRECTIONS[kind][1].copy()
-
-
 @lru_cache(maxsize=1)
 def lifted_bell_observable() -> Observable:
     return lift(bell_basis_observable(), 0, (4, 2))

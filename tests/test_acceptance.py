@@ -32,6 +32,7 @@ from postulate_sim.protocols import (
     lifted_bell_observable,
     teleport,
 )
+from test_algorithms import argument_observable
 
 LUEDERS = SemanticsMode.LUEDERS
 STRICT = SemanticsMode.STRICT_VON_NEUMANN
@@ -196,13 +197,13 @@ def test_criterion_08_deutsch_jozsa():
         for value in (0, 1):
             oracle = alg.constant_oracle(n, value)
             state = alg.dj_final_state(oracle).reshaped((2 ** n, 2))
-            p0 = partial_probabilities(alg.argument_observable(n), 0, state)[0]
+            p0 = partial_probabilities(argument_observable(n), 0, state)[0]
             assert abs(p0 - 1.0) < 1e-10
     for _ in range(100):
         n = int(rng.integers(1, 11))
         oracle = alg.balanced_oracle(n, rng)
         state = alg.dj_final_state(oracle).reshaped((2 ** n, 2))
-        p0 = partial_probabilities(alg.argument_observable(n), 0, state)[0]
+        p0 = partial_probabilities(argument_observable(n), 0, state)[0]
         assert p0 < 1e-10
         seed = int(rng.integers(0, 2 ** 32))
         va = alg.deutsch_jozsa(oracle, LUEDERS, np.random.default_rng(seed))
@@ -220,7 +221,7 @@ def test_criterion_09_simon():
         s = int(rng.integers(1, 2 ** n))
         oracle = alg.simon_oracle(n, s, rng)
         state = alg.simon_final_state(oracle).reshaped((2 ** n, 2 ** n))
-        probs = partial_probabilities(alg.argument_observable(n), 0, state)
+        probs = partial_probabilities(argument_observable(n), 0, state)
         for j in range(2 ** n):
             expected = 1 / 2 ** (n - 1) if popcount_parity(j & s) == 0 else 0.0
             assert abs(probs[j] - expected) < 1e-10

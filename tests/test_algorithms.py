@@ -1,10 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
 from postulate_sim import kernels
-from postulate_sim.errors import FullRank, InvalidMarkedSet, InvalidOracle
-from postulate_sim.hilbert import StateVector
+from postulate_sim.errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle
+from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import SemanticsMode, partial_probabilities
 
 LUEDERS = SemanticsMode.LUEDERS
@@ -26,6 +28,15 @@ def dj_amplitudes_brute(table):
             acc += (-1) ** (popcount_parity(x & z) + table[x])
         out.append(acc / size)
     return np.array(out, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def argument_observable(n):
+    """Dense reference for `RegisterReadout`: the diagonal register readout
+    with eigenvalue z on basis state |z>."""
+    if n < 1:
+        raise ValueError("register width must be >= 1")
+    return Observable(np.diag(np.arange(2 ** n, dtype=np.float64)), (2 ** n,))
 
 
 def simon_amplitudes_brute(table):
@@ -80,22 +91,38 @@ class TestOracles:
         with pytest.raises(InvalidOracle):
             alg.load_oracle(path, "dj")
 
+    def test_file_width_checked_on_first_line(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("0" * 20 + " 0\n" + "garbage\n" * 3)
+        with pytest.raises(DimensionMismatch, match="n=20 needs 21 qubits"):
+            alg.load_oracle(path, "dj")
+
+    def test_parse_bits(self):
+        assert [alg.parse_bits(t) for t in ("0", "1", "101", "00101")] == [0, 1, 5, 5]
+        # int(text, 2) reads each of these; none is a bit string
+        for text in ("0b101", "1_01", " 101", "101\n", "+101", "-1", "\u0661\u0660"):
+            int(text, 2)
+            with pytest.raises(InvalidOracle, match="expected a bit string"):
+                alg.parse_bits(text)
+        with pytest.raises(InvalidOracle, match="expected a bit string"):
+            alg.parse_bits("")
+
 
 class TestArgumentObservable:
     def test_n1(self):
-        np.testing.assert_allclose(alg.argument_observable(1).matrix, np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(argument_observable(1).matrix, np.diag([0.0, 1.0]))
 
     def test_n2(self):
-        np.testing.assert_allclose(alg.argument_observable(2).matrix, np.diag([0.0, 1, 2, 3]))
+        np.testing.assert_allclose(argument_observable(2).matrix, np.diag([0.0, 1, 2, 3]))
 
     def test_nondegenerate(self):
-        dec = alg.argument_observable(3).decomposition
+        dec = argument_observable(3).decomposition
         assert not dec.degenerate
         np.testing.assert_allclose(dec.eigenvalues, np.arange(8))
 
     def test_lifted_degenerate(self):
-        from postulate_sim.hilbert import Observable, tensor_op
-        lifted = tensor_op(alg.argument_observable(2), Observable(np.eye(2)))
+        from postulate_sim.hilbert import tensor_op
+        lifted = tensor_op(argument_observable(2), Observable(np.eye(2)))
         assert lifted.decomposition.multiplicities == (2, 2, 2, 2)
 
 
@@ -189,7 +216,7 @@ class TestSimonState:
             s = int(rng.integers(1, 2 ** n))
             oracle = alg.simon_oracle(n, s, rng)
             state = alg.simon_final_state(oracle).reshaped((2 ** n, 2 ** n))
-            probs = partial_probabilities(alg.argument_observable(n), 0, state)
+            probs = partial_probabilities(argument_observable(n), 0, state)
             for j in range(2 ** n):
                 if popcount_parity(j & s) == 0:
                     assert probs[j] == pytest.approx(1 / 2 ** (n - 1), abs=1e-10)

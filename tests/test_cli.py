@@ -296,6 +296,40 @@ class TestErrors:
         assert err.startswith(f"postulate-sim: error: {path}:{line}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command,width,qubits", [("dj", 20, 21), ("simon", 9, 18)])
+    def test_oracle_width_checked_on_first_line(self, capsys, tmp_path, command, width, qubits):
+        # the width error comes from line 1, before the malformed line 2 is read
+        output = "0" if command == "dj" else "0" * width
+        path = tmp_path / "wide.txt"
+        path.write_text(f"{'0' * width} {output}\nnot an oracle line\n")
+        code, out, err = run_cli(capsys, command, "--oracle", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"postulate-sim: error: n={width} needs {qubits} qubits; "
+                       f"the dimension cap 65536 allows 16\n")
+
+    @pytest.mark.parametrize("period", ["0b101", "1_01", " 101", "101 ", "+101", "-101", "",
+                                        "\uff11\uff10\uff11", "2"])
+    def test_period_must_be_bits(self, capsys, period):
+        code, out, err = run_cli(capsys, "simon", "--n", "3", f"--period={period}")
+        assert (code, out) == (1, "")
+        assert err == f"postulate-sim: error: expected a bit string of 0s and 1s, got {period!r}\n"
+
+    @pytest.mark.parametrize("x,spelled", [
+        (2, "+10 0"), (1, "0b1 0"), (2, "1_0 0"), (2, "\u0660\u0661\u0660 0"),
+        (5, "101 +0"), (5, "101 0b0"), (5, "101 0_0"), (5, "101 -0"),
+    ])
+    def test_oracle_fields_must_be_bits(self, capsys, tmp_path, x, spelled):
+        # a constant 3-bit oracle with the line of input x spelled otherwise
+        lines = [f"{i:03b} 0" for i in range(8)]
+        lines[x] = spelled
+        path = tmp_path / "oracle.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "dj", "--oracle", str(path))
+        assert (code, out) == (1, "")
+        bad = next(field for field in spelled.split() if not set(field) <= {"0", "1"})
+        assert err == (f"postulate-sim: error: {path}:{x + 1}: "
+                       f"expected a bit string of 0s and 1s, got {bad!r}\n")
+
     def test_zero_amplitudes_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "measure", "--alpha", "0,0", "--beta", "0,0")
         assert (code, out) == (1, "")

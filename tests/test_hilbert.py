@@ -44,6 +44,11 @@ def planted_observable(rng, mults):
     return Observable((m + m.conj().T) / 2), np.split(u, np.cumsum(mults)[:-1], axis=1)
 
 
+def projectors(dec):
+    """Dense eigenprojector B B^dag of every eigenspace block B of a decomposition."""
+    return [b @ b.conj().T for b in dec.blocks]
+
+
 def bell_phi_plus():
     return StateVector(np.array([1, 0, 0, 1]) * INV_SQRT2, (2, 2))
 
@@ -138,8 +143,8 @@ class TestSpectralDecompose:
     def test_sigma3(self):
         dec = SIGMA3.decomposition
         np.testing.assert_allclose(dec.eigenvalues, [-1, 1])
-        np.testing.assert_allclose(dec.projectors[0], [[0, 0], [0, 1]], atol=1e-12)
-        np.testing.assert_allclose(dec.projectors[1], [[1, 0], [0, 0]], atol=1e-12)
+        np.testing.assert_allclose(projectors(dec)[0], [[0, 0], [0, 1]], atol=1e-12)
+        np.testing.assert_allclose(projectors(dec)[1], [[1, 0], [0, 0]], atol=1e-12)
         assert dec.multiplicities == (1, 1)
         assert not dec.degenerate
 
@@ -148,7 +153,7 @@ class TestSpectralDecompose:
         dec = bell_basis_observable().decomposition
         np.testing.assert_allclose(dec.eigenvalues, [0, 1, 2, 3], atol=1e-12)
         assert dec.multiplicities == (1, 1, 1, 1)
-        recon = sum(ev * p for ev, p in zip(dec.eigenvalues, dec.projectors))
+        recon = sum(ev * p for ev, p in zip(dec.eigenvalues, projectors(dec)))
         np.testing.assert_allclose(recon, bell_basis_observable().matrix, atol=1e-9)
 
     def test_bell_observable_lifted_degenerate(self):
@@ -191,7 +196,7 @@ class TestSpectralDecompose:
         for _ in range(10):
             a = random_hermitian(rng, dim)
             dec = spectral_decompose(a)
-            projs = dec.projectors
+            projs = projectors(dec)
             total = sum(projs)
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-9)
             recon = sum(ev * p for ev, p in zip(dec.eigenvalues, projs))

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from postulate_sim import algorithms as alg
 from postulate_sim.errors import (
     DegenerateLocalObservable,
     DimensionMismatch,
     IndexOutOfRange,
 )
 from postulate_sim.hilbert import Observable, StateVector, phase_equal, tensor_op, tensor_state
-from postulate_sim.algorithms import argument_observable
 from postulate_sim.measurement import (
     ObservableReadout,
     RegisterReadout,
@@ -22,6 +24,7 @@ from postulate_sim.measurement import (
     partial_probabilities,
 )
 from postulate_sim.protocols import BellKind, bell_basis_observable, bell_state
+from test_algorithms import argument_observable
 from test_hilbert import planted_observable
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -40,6 +43,28 @@ def random_hermitian(rng, dim):
 def random_state(rng, dim, dims=None):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(v / np.linalg.norm(v), dims)
+
+
+def eigenprojector(a, out):
+    """Dense P = B B^dag, B the decomposition block of the outcome's eigenvalue."""
+    dec = a.decomposition
+    (idx,) = np.flatnonzero(dec.eigenvalues == out.eigenvalue)
+    block = dec.blocks[idx]
+    return block @ block.conj().T
+
+
+def lifted_projector(out, dims, subsystem):
+    """Dense I x |v><v| x I from the outcome's subsystem eigenstate |v>."""
+    v = out.subsystem_post_state.amplitudes
+    before, after = int(np.prod(dims[:subsystem])), int(np.prod(dims[subsystem + 1:]))
+    return np.kron(np.kron(np.eye(before), np.outer(v, v.conj())), np.eye(after))
+
+
+def lifted_block_projector(a, idx, dims, subsystem):
+    """Dense I x B B^dag x I, B the block of eigenvalue index `idx` of local `a`."""
+    block = a.decomposition.blocks[idx]
+    before, after = int(np.prod(dims[:subsystem])), int(np.prod(dims[subsystem + 1:]))
+    return np.kron(np.kron(np.eye(before), block @ block.conj().T), np.eye(after))
 
 
 def brute_force_probabilities(matrix, amps, tol=1e-9):
@@ -160,9 +185,12 @@ class TestMeasure:
         assert not out.determined
         assert out.post_state is None
         assert out.projector_rank == 2
-        assert np.linalg.matrix_rank(out.eigenprojector) == 2
-        # diagnostics still expose what Lueders would claim
+        projector = eigenprojector(lifted, out)
+        assert np.linalg.matrix_rank(projector) == 2
+        # diagnostics still expose what Lueders would claim, inside the eigenspace
         assert out.lueders_post_state is not None
+        lueders = out.lueders_post_state.amplitudes
+        np.testing.assert_allclose(projector @ lueders, lueders, atol=1e-10)
 
     def test_lueders_idempotent(self):
         rng = np.random.default_rng(23)
@@ -256,7 +284,8 @@ class TestPartialMeasure:
             out = partial_measure(a, 0, psi, LUEDERS, rng, force_index=idx)
             post = out.post_state.amplitudes
             # projecting the post-state again changes nothing
-            np.testing.assert_allclose(out.eigenprojector @ post, post, atol=1e-10)
+            projector = lifted_projector(out, (int(d1), int(d2)), 0)
+            np.testing.assert_allclose(projector @ post, post, atol=1e-10)
             # reduced state of the measured subsystem is the outcome eigenstate
             mat = post.reshape(int(d1), int(d2))
             local = out.subsystem_post_state.amplitudes
@@ -451,7 +480,11 @@ class TestRegisterReadout:
             assert_same_state(got.post_state, ref.post_state)
             assert_same_state(got.lueders_post_state, ref.lueders_post_state)
             assert_same_state(got.subsystem_post_state, ref.subsystem_post_state)
-            np.testing.assert_array_equal(got.eigenprojector, ref.eigenprojector)
+            projector = lifted_projector(got, dims, subsystem)
+            np.testing.assert_array_equal(projector, lifted_projector(ref, dims, subsystem))
+            np.testing.assert_array_equal(
+                projector, lifted_block_projector(dense, int(got.eigenvalue), dims, subsystem))
+            assert np.trace(projector).real == got.projector_rank
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
@@ -471,7 +504,8 @@ class TestRegisterReadout:
             assert phase_equal(got.post_state, ref.post_state, 1e-12)
             np.testing.assert_array_equal(got.subsystem_post_state.amplitudes,
                                           np.eye(2 ** k)[int(got.eigenvalue)])
-            np.testing.assert_array_equal(got.eigenprojector, ref.eigenprojector)
+            np.testing.assert_array_equal(lifted_projector(got, (2 ** k,), 0),
+                                          eigenprojector(dense, ref))
 
     def test_full_register_forced_zero_probability_strict(self):
         # strict von Neumann assigns the eigenvector as post-state even to an
@@ -487,6 +521,37 @@ class TestRegisterReadout:
             np.testing.assert_array_equal(got.post_state.amplitudes, np.eye(4)[idx])
             assert phase_equal(got.post_state, ref.post_state, 1e-12)
             assert got.lueders_post_state is None and ref.lueders_post_state is None
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_outcome_at_cap_stays_small(self, mode):
+        """A Simon n = 8 register outcome lives on 2^16 amplitudes (1 MiB per
+        state); measuring it and reading every public attribute, the
+        post-states included, stays under 16 MiB."""
+        readout = alg.simon_readout(alg.simon_oracle(8, 0b10110011, np.random.default_rng(0)))
+        zero = int(np.flatnonzero(readout.probabilities == 0)[0])
+        nonzero = int(np.flatnonzero(readout.probabilities)[-1])
+        tracemalloc.start()
+        try:
+            for rng, force in [(np.random.default_rng(0), None), (np.random.default_rng(1), None),
+                               (None, nonzero), (None, zero)]:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = readout.measure(mode, rng, force_index=force)
+                read = {name: getattr(out, name) for name in dir(out) if not name.startswith("_")}
+                peak = tracemalloc.get_traced_memory()[1] - start
+                assert peak < 16 * 2 ** 20
+                assert read["projector_rank"] == 256
+                assert read["determined"] == (mode is LUEDERS)
+                assert read["subsystem_post_state"].dims == (256,)
+                state = read["post_state"] if mode is LUEDERS else read["lueders_post_state"]
+                if force == zero:
+                    assert state is None and read["probability"] == 0.0
+                else:
+                    # the post-state itself was traced, so the bound is not vacuous
+                    assert state.dims == (256, 256) and peak >= 2 ** 20
+                del out, read, state
+        finally:
+            tracemalloc.stop()
 
     def test_subsystem_out_of_range(self):
         with pytest.raises(IndexOutOfRange):

@@ -7,7 +7,6 @@ from postulate_sim.protocols import (
     BellKind,
     bell_basis_observable,
     bell_state,
-    correction_gate,
     Teleportation,
     lifted_bell_observable,
     teleport,
@@ -21,6 +20,26 @@ STRICT = SemanticsMode.STRICT_VON_NEUMANN
 def random_qubit(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return StateVector(v / np.linalg.norm(v))
+
+
+# the Pauli correction of each Bell branch, written out independently of the package
+CORRECTIONS = {
+    BellKind.PHI_PLUS: ("I", np.eye(2)),
+    BellKind.PHI_MINUS: ("sigma3", np.array([[1, 0], [0, -1]])),
+    BellKind.PSI_PLUS: ("sigma1", np.array([[0, 1], [1, 0]])),
+    BellKind.PSI_MINUS: ("sigma3*sigma1", np.array([[0, 1], [-1, 0]])),
+}
+
+
+def assert_branch_applies(psi, kind, label, gate):
+    """The forced Lueders branch `kind` reports `label`, applies `gate` to Bob's
+    state before correction to give his state after it, and restores `psi`."""
+    res = teleport(psi, LUEDERS, force_outcome=kind)
+    assert res.correction == label
+    corrected = StateVector(np.asarray(gate) @ res.bob_state_before_correction.amplitudes)
+    assert phase_equal(corrected, res.bob_state_after_correction, 1e-12)
+    assert phase_equal(res.bob_state_after_correction, psi, 1e-10)
+    return res
 
 
 class TestBellStates:
@@ -70,20 +89,26 @@ class TestBellObservable:
 
 class TestCorrectionGates:
     def test_matrices(self):
-        np.testing.assert_allclose(correction_gate(BellKind.PHI_PLUS), np.eye(2))
-        np.testing.assert_allclose(correction_gate(BellKind.PHI_MINUS), [[1, 0], [0, -1]])
-        np.testing.assert_allclose(correction_gate(BellKind.PSI_PLUS), [[0, 1], [1, 0]])
-        np.testing.assert_allclose(correction_gate(BellKind.PSI_MINUS), [[0, 1], [-1, 0]])
+        psi = StateVector([0.6, 0.8j])
+        assert_branch_applies(psi, BellKind.PHI_PLUS, "I", np.eye(2))
+        assert_branch_applies(psi, BellKind.PHI_MINUS, "sigma3", [[1, 0], [0, -1]])
+        assert_branch_applies(psi, BellKind.PSI_PLUS, "sigma1", [[0, 1], [1, 0]])
+        assert_branch_applies(psi, BellKind.PSI_MINUS, "sigma3*sigma1", [[0, 1], [-1, 0]])
 
     def test_unitary(self):
-        for kind in BellKind:
-            g = correction_gate(kind)
+        rng = np.random.default_rng(17)
+        for kind, (label, g) in CORRECTIONS.items():
             np.testing.assert_allclose(g @ g.conj().T, np.eye(2), atol=1e-12)
+            for _ in range(5):
+                assert_branch_applies(random_qubit(rng), kind, label, g)
 
     def test_psi_minus_restores(self):
         alpha, beta = 0.6, 0.8
-        g = correction_gate(BellKind.PSI_MINUS)
+        g = np.array([[0, 1], [-1, 0]])
         np.testing.assert_allclose(g @ np.array([-beta, alpha]), [alpha, beta], atol=1e-12)
+        res = assert_branch_applies(StateVector([alpha, beta]), BellKind.PSI_MINUS,
+                                    "sigma3*sigma1", g)
+        assert phase_equal(res.bob_state_before_correction, StateVector([-beta, alpha]), 1e-10)
 
 
 class TestTeleport:

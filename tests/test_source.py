@@ -60,3 +60,38 @@ def test_no_unread_private_names():
     found = {path.name: unread_private_names(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_private_parameters(source: str) -> list[str]:
+    """`function.parameter` for every parameter of a module-level private
+    function that the function's body never reads; a closure in the body
+    reads for it. Defaults and annotations are not the body."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}.{p}" for p in params if p not in read]
+    return found
+
+
+def test_unread_private_parameters_detected():
+    source = ("def _f(a, b, /, c, *args, d=1, **kw):\n    return a + c + kw['x']\n"
+              "def _g(x, y: int = 0):\n    def inner():\n        return x\n    return inner\n"
+              "def public(unused):\n    pass\n"
+              "class _C:\n    def _m(self, unused):\n        pass\n")
+    assert unread_private_parameters(source) == ["_f.b", "_f.d", "_f.args", "_g.y"]
+
+
+def test_no_unread_private_parameters():
+    """A parameter that a private function never reads is a dead argument at
+    every call site."""
+    found = {path.name: unread_private_parameters(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
