@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, algorithms, protocols
+from . import __version__, algorithms, kernels, protocols
 from .errors import PostulateSimError
 from .hilbert import Observable, StateVector
 from .measurement import ObservableReadout, SemanticsMode
@@ -54,11 +54,6 @@ def _int_list(text: str) -> list[int]:
         return [int(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # schedule-independent: every trial derives its stream from (seed, index)
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, trial]))
 
 
 def _state_json(state: StateVector) -> list[list[float]]:
@@ -138,8 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
 # command runners; each returns (payload dict, exit code)
 
 def _draws(sampler, args) -> list[int]:
-    """One index per trial from a prepared sampler, each from its own stream."""
-    return [sampler.draw(_trial_rng(args.seed, t)) for t in range(args.trials)]
+    """One index per trial from a prepared sampler, each from its own stream:
+    schedule-independent, trial t's stream derives from (seed, t) alone."""
+    return [sampler.draw(rng) for rng in kernels.trial_streams(args.seed, args.trials)]
 
 
 def _entries(indices: list[int], entry) -> list:
@@ -210,11 +206,15 @@ def _run_simon(args) -> tuple[dict, int]:
         if args.n is None or args.period is None:
             raise PostulateSimError("simon: provide --oracle or both --n and --period")
         oracle = algorithms.simon_oracle(args.n, algorithms.parse_bits(args.period))
+        if len(args.period) != args.n:
+            # as in an oracle file, the period is written with exactly n digits
+            raise PostulateSimError(
+                f"period {args.period} has {len(args.period)} bits, expected {args.n}")
     n = oracle.n
     readout = algorithms.simon_readout(oracle)
     trials = []
-    for t in range(args.trials):
-        res = algorithms.simon_period(readout, n, _trial_rng(args.seed, t), args.max_samples)
+    for rng in kernels.trial_streams(args.seed, args.trials):
+        res = algorithms.simon_period(readout, n, rng, args.max_samples)
         trials.append({
             "period": f"{res.period:0{n}b}",
             "samples": [f"{j:0{n}b}" for j in res.samples],
@@ -289,9 +289,23 @@ def _config_echo(args) -> dict:
     return cfg
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
 def emit_report(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        outcomes = report.get("outcomes")
+        if not outcomes:
+            return _dumps(report) + "\n"
+        # the same text as _dumps(report), but each distinct entry object
+        # (runners share one per drawn index) is encoded once, at depth 2
+        distinct = {id(entry): entry for entry in outcomes}
+        encoded = {key: _dumps(entry).replace("\n", "\n    ") for key, entry in distinct.items()}
+        items = ",\n    ".join([encoded[id(entry)] for entry in outcomes])
+        # a raw newline plus two spaces before a key occurs only at the top level
+        head, _, tail = _dumps({**report, "outcomes": None}).partition('\n  "outcomes": null')
+        return f'{head}\n  "outcomes": [\n    {items}\n  ]{tail}\n'
     lines = [f"postulate-sim {report['version']} :: {report['config']['command']} "
              f"(mode={report['config']['mode']}, seed={report['config']['seed']}, "
              f"trials={report['config']['trials']})"]

@@ -187,7 +187,8 @@ def phase_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
 def phase_normalize(amplitudes: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
     """Rotate a global phase so the first non-negligible amplitude is positive real."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    for c in amps:
-        if abs(c) > cutoff:
-            return amps * (abs(c) / c)
-    return amps.copy()
+    above = np.flatnonzero(np.abs(amps) > cutoff)
+    if above.size == 0:
+        return amps.copy()
+    c = amps[above[0]]
+    return amps * (abs(c) / c)

@@ -5,7 +5,10 @@ integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
 Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
 sign matrix. Every sum is an exact integer before the final division by 2^n.
 Simon's classical step, the GF(2) nullspace of the sampled constraints, works
-on rows bit-packed into Python ints.
+on rows bit-packed into Python ints. The CLI's per-trial random streams are
+numpy's `default_rng(SeedSequence([seed, t]))`, rebuilt bit for bit: the
+SeedSequence hash in uint32 array arithmetic over all trials at once, then
+one PCG64 generator per trial (O'Neill, HMC-CS-2014-0905, 2014).
 """
 from __future__ import annotations
 
@@ -87,3 +90,85 @@ def gf2_null_vector(rows: dict[int, int], n: int) -> int:
         if row >> bit & 1:
             v |= 1 << lead
     return v
+
+
+# ---------------------------------------------------------------------------
+# Trial streams: numpy's SeedSequence hash and PCG64 (XSL-RR 128/64)
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[list[int]]:
+    """`SeedSequence(entropy).generate_state(4, uint64)`, word by word, for
+    columns of uint32 entropy words, one row per stream and at most the pool
+    size of columns. The hash constants run through the same sequence
+    whatever the data, so every stream takes the same steps."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # little-endian: uint64 word k is uint32 words 2k (low) and 2k + 1 (high)
+    return [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+
+
+class _PCG64:
+    """numpy's PCG64 bit generator with `Generator.random()` on top."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, initstate: int, initseq: int):
+        # pcg64_srandom_r: from state 0, step, add initstate, step
+        self.inc = inc = (initseq << 1 | 1) & _MASK128
+        self.state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+
+    def random(self) -> float:
+        """The next double in [0, 1): the top 53 bits of the next output."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        return (word >> 11) * 2.0 ** -53
+
+
+def trial_streams(seed: int, trials: int) -> list[_PCG64]:
+    """Stream t draws exactly as
+    `np.random.default_rng(np.random.SeedSequence([seed mod 2^64, t]))`,
+    for t < trials <= 2^32, without importing `numpy.random`."""
+    seed &= _MASK64
+    # SeedSequence's entropy words: the seed's 32-bit words, low first and
+    # at least one (0 is [0]), then t, one word
+    entropy = [np.full(trials, seed & _MASK32, dtype=np.uint32)]
+    if seed >> 32:
+        entropy.append(np.full(trials, seed >> 32, dtype=np.uint32))
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    # PCG64 seeds from the four words as initstate and initseq, high word first
+    return [_PCG64(a << 64 | b, c << 64 | d) for a, b, c, d in zip(*_seed_state(entropy))]

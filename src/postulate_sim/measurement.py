@@ -147,7 +147,8 @@ class Sampler:
     One uniform draw, scaled by the total, is located in the running sum,
     which the first draw computes and every later draw reuses. A draw that
     rounding puts at or past the last partial sum falls back to the last
-    nonzero index.
+    nonzero index. A draw takes anything with a `random()` method: a numpy
+    `Generator`, or a stream of `kernels.trial_streams`.
     """
 
     def __init__(self, probabilities):

@@ -22,6 +22,26 @@ SRC = TESTS.parent / "src"
 AS_LIMIT = 2 ** 30
 
 
+@pytest.fixture(autouse=True)
+def plain_json_reference(monkeypatch):
+    """Every JSON report a test here produces, in-process, must be the plain
+    `json.dumps` text, which `emit_report` builds from once-encoded entries."""
+    emit = cli.emit_report
+
+    def checked(report, fmt="json"):
+        text = emit(report, fmt)
+        if fmt == "json":
+            plain = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            if text != plain:
+                # no assert: pytest's diff of two long reports takes minutes
+                at = next(i for i, (x, y) in enumerate(zip(text + "\0", plain)) if x != y)
+                pytest.fail(f"emit_report differs from json.dumps at {at}: "
+                            f"{text[at - 40:at + 40]!r} != {plain[at - 40:at + 40]!r}")
+        return text
+
+    monkeypatch.setattr(cli, "emit_report", checked)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -307,6 +327,12 @@ class TestErrors:
         assert err == (f"postulate-sim: error: n={width} needs {qubits} qubits; "
                        f"the dimension cap 65536 allows 16\n")
 
+    @pytest.mark.parametrize("period", ["0101", "00000001", "01"])
+    def test_period_width_must_be_n(self, capsys, period):
+        code, out, err = run_cli(capsys, "simon", "--n", "3", "--period", period)
+        assert (code, out) == (1, "")
+        assert err == f"postulate-sim: error: period {period} has {len(period)} bits, expected 3\n"
+
     @pytest.mark.parametrize("period", ["0b101", "1_01", " 101", "101 ", "+101", "-101", "",
                                         "\uff11\uff10\uff11", "2"])
     def test_period_must_be_bits(self, capsys, period):
@@ -383,6 +409,33 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("postulate-sim: error: ")
 
+    def test_non_finite_outcome_entry_exit_1(self, capsys, monkeypatch):
+        shared = {"found": 1, "hit": True}
+        outcomes = [shared, {"found": 2, "hit": float("nan")}, shared]
+        monkeypatch.setitem(cli._RUNNERS, "grover", lambda args: ({"outcomes": outcomes}, 0))
+        code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("postulate-sim: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,imported", [
+    (("teleport", "--trials", "20"), False),
+    (("measure", "--observable", "x", "--trials", "20"), False),
+    (("grover", "--n", "3", "--marked", "5", "--trials", "20"), False),
+    (("simon", "--n", "3", "--period", "101", "--trials", "5"), False),
+    (("dj", "--n", "3", "--kind", "constant", "--trials", "5"), False),
+    # the balanced oracle's permutation is drawn by numpy's Generator
+    (("dj", "--n", "3", "--kind", "balanced"), True),
+], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
+def test_trial_streams_skip_numpy_random(argv, imported):
+    """Trial streams come from `kernels.trial_streams`, so a run whose oracle
+    needs no random permutation never imports `numpy.random`."""
+    code, out, err, _ = run_limited(
+        "from postulate_sim.cli import main; code = main(); "
+        "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)", *argv)
+    assert code == 0 and json.loads(out)
+    assert err == f"{imported}\n"
+
 
 def test_grover_at_dimension_cap():
     """n = 16 fills the 2^16 cap; the register readout needs no 2^16 x 2^16 operator."""
@@ -421,6 +474,23 @@ class TestEmitReport:
         }
         parsed = json.loads(cli.emit_report(report, "json"))
         assert parsed["outcomes"] == []
+
+    def test_without_outcomes_plain_text(self):
+        report = {"schema": cli.SCHEMA, "version": "0.1.0", "x": [1.5, None], "y": {"b": 1, "a": 2}}
+        assert cli.emit_report(report, "json") == (
+            json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+    def test_shared_and_nested_entries_plain_text(self):
+        # Simon-like entries with nested lists, one entry object shared by
+        # several trials, an entry equal to but distinct from another, and
+        # strings that look like the layout
+        shared = {"period": "101", "samples": ["010", "111"], "z": {"k": [1, [2, {}]]}}
+        outcomes = [shared, {"period": "101", "samples": []}, shared,
+                    dict(shared), {"period": '\n  "outcomes": null', "samples": ["\n"]}, shared]
+        report = {"schema": cli.SCHEMA, "config": {"command": "simon", "oracle": "outcomes"},
+                  "outcomes": outcomes, "all_recovered": True, "z_last": 1e-300}
+        assert cli.emit_report(report, "json") == (
+            json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
     def test_round_trip_identity(self):
         report = {

@@ -8,6 +8,7 @@ from postulate_sim.hilbert import (
     Observable,
     StateVector,
     phase_equal,
+    phase_normalize,
     spectral_decompose,
     tensor_op,
     tensor_state,
@@ -239,3 +240,39 @@ class TestPhaseEqual:
     def test_dims_mismatch(self):
         with pytest.raises(DimensionMismatch):
             phase_equal(KET0, bell_phi_plus(), 1e-10)
+
+
+def _phase_normalize_loop(amplitudes, cutoff=1e-12):
+    """The element-wise scan that `phase_normalize` vectorizes."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    for c in amps:
+        if abs(c) > cutoff:
+            return amps * (abs(c) / c)
+    return amps.copy()
+
+
+class TestPhaseNormalize:
+    def test_random_vectors(self):
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 5, 64):
+            for _ in range(20):
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                v[: rng.integers(0, dim + 1)] *= rng.choice([0.0, 1e-13, 1e-12])
+                np.testing.assert_array_equal(phase_normalize(v), _phase_normalize_loop(v))
+
+    @pytest.mark.parametrize("lead", [1e-12, np.nextafter(1e-12, 1.0), 1e-12j,
+                                      complex(0.6e-12, 0.8e-12), complex(0.6e-12, 0.8000001e-12)])
+    def test_cutoff_boundary(self, lead):
+        # abs(c) == cutoff is negligible (strict >); one ulp above it is not
+        v = np.array([lead, 0.6 - 0.8j, 0.3j])
+        result = phase_normalize(v)
+        np.testing.assert_array_equal(result, _phase_normalize_loop(v))
+        first = result[0 if abs(lead) > 1e-12 else 1]
+        assert first.real > 0 and abs(first.imag) <= 1e-15 * first.real
+
+    @pytest.mark.parametrize("v", [np.zeros(4), np.array([1e-13, -1e-12j, 0.0]), np.array([])])
+    def test_all_below_cutoff_is_a_copy(self, v):
+        result = phase_normalize(v)
+        np.testing.assert_array_equal(result, _phase_normalize_loop(v))
+        assert result.dtype == np.complex128
+        assert not np.shares_memory(result, v)

@@ -1,10 +1,12 @@
 """The kernels against brute-force references: the dense sign-matrix formulas
 they replace and the plain loops they vectorize. The Walsh-Hadamard sums are
-exact integers before the division by 2^n, so equality is exact."""
+exact integers before the division by 2^n, so equality is exact. The trial
+streams are checked bit for bit against `numpy.random`, their reference."""
 import numpy as np
 import pytest
 
 from postulate_sim import kernels
+from postulate_sim.cli import MAX_TRIALS
 from postulate_sim.errors import FullRank
 
 
@@ -131,3 +133,45 @@ def _gf2_rank_oracle(rows):
                 basis[high] = r
                 break
     return len(basis)
+
+
+def _numpy_draws(seed, t, count=5):
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2 ** 64 - 1), t]))
+    return [rng.random() for _ in range(count)]
+
+
+def _stream_draws(stream, count=5):
+    return [stream.random() for _ in range(count)]
+
+
+# one and two 32-bit seed words, negative seeds folded to 64 bits, and bits past 64
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, -1, -2 ** 63, 2 ** 64 + 12345]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_match_numpy(seed):
+    """Float equality of draws is bit equality: both sides take the top 53
+    bits of the same 64-bit output."""
+    streams = kernels.trial_streams(seed, 300)
+    assert len(streams) == 300
+    for t, stream in enumerate(streams):
+        assert _stream_draws(stream) == _numpy_draws(seed, t), t
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_match_numpy_up_to_max_trials(seed):
+    streams = kernels.trial_streams(seed, MAX_TRIALS)
+    for t in [300, 4095, 65535, 65536, 77777, MAX_TRIALS - 1]:
+        assert _stream_draws(streams[t]) == _numpy_draws(seed, t), t
+
+
+def test_trial_streams_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(-2 ** 70, 2 ** 70), st.integers(0, 1999))
+    def check(seed, t):
+        assert _stream_draws(kernels.trial_streams(seed, t + 1)[t]) == _numpy_draws(seed, t)
+
+    check()
