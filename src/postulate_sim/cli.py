@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 
@@ -39,6 +40,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+# tokens that start with '-' but are values, not options: argparse's own
+# negative numbers, and any re,im pair such as -0.6,0
+_NEGATIVE_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-[^,]*,[^,]*$")
 
 
 def _complex_pair(text: str) -> complex:
@@ -95,9 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--format", default="json", choices=["json", "text"])
 
+    def amplitudes(p):
+        p.add_argument("--alpha", type=_complex_pair, default=complex(1, 0), metavar="RE,IM")
+        p.add_argument("--beta", type=_complex_pair, default=complex(0, 0), metavar="RE,IM")
+        p._negative_number_matcher = _NEGATIVE_VALUE
+
     p = sub.add_parser("teleport", help="teleport one qubit through a Bell pair")
-    p.add_argument("--alpha", type=_complex_pair, default=complex(1, 0), metavar="RE,IM")
-    p.add_argument("--beta", type=_complex_pair, default=complex(0, 0), metavar="RE,IM")
+    amplitudes(p)
     common(p)
 
     p = sub.add_parser("dj", help="Deutsch-Jozsa constant/balanced decision")
@@ -122,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="measure a Pauli observable on one qubit")
     p.add_argument("--observable", default="z", choices=sorted(_PAULIS))
-    p.add_argument("--alpha", type=_complex_pair, default=complex(1, 0), metavar="RE,IM")
-    p.add_argument("--beta", type=_complex_pair, default=complex(0, 0), metavar="RE,IM")
+    amplitudes(p)
     common(p)
 
     return parser
@@ -278,8 +287,7 @@ _RUNNERS = {
 
 def _config_echo(args) -> dict:
     skip = {"command", "format"}
-    cfg = {"command": args.command, "mode": args.mode, "seed": args.seed,
-           "trials": getattr(args, "trials", 1)}
+    cfg = {"command": args.command, "mode": args.mode, "seed": args.seed, "trials": args.trials}
     for key, value in sorted(vars(args).items()):
         if key in skip or key in cfg:
             continue
@@ -332,9 +340,9 @@ def run(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
+    if args.trials < 1:
         parser.error("--trials must be >= 1")
-    if getattr(args, "trials", 1) > MAX_TRIALS:
+    if args.trials > MAX_TRIALS:
         # the report grows by up to about 1.3 KiB per trial
         parser.error(f"--trials must be <= {MAX_TRIALS}")
     try:

@@ -9,12 +9,13 @@ Two collapse rules are implemented side by side:
   carries the rank of its eigenspace, and the Lueders state as a diagnostic,
   so the two semantics can be contrasted in reports).
 
-Partial measurement of a locally nondegenerate observable follows the
+A local readout (`RegisterReadout`, and `partial_measure` on it) measures one
+subsystem in a nondegenerate basis: a local observable's eigenbasis, or the
+computational basis without building the diagonal observable. It follows the
 composite-space Born rule for probabilities and always pins the measured
-subsystem to the outcome eigenstate. `RegisterReadout` is the special case of
-a computational-basis readout, computed from the amplitudes without building
-the diagonal observable. A readout is prepared once per state: its Born
-vector is computed once, and every draw reuses one running sum (`Sampler`).
+subsystem to the outcome eigenstate. A readout is prepared once per state:
+its Born vector is computed once, and every draw reuses one running sum
+(`Sampler`), whose `measure` builds the outcome of a drawn index.
 """
 from __future__ import annotations
 
@@ -120,25 +121,18 @@ class RefinementObservable:
         return (dec.vectors * f) @ dec.vectors.conj().T
 
 
-def _check_state(a: Observable, psi: StateVector):
-    if a.dim != psi.dim:
-        raise DimensionMismatch(f"operator dim {a.dim} != state dim {psi.dim}")
-
-
 def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> float:
     """Probability of the eigenvalue at the given index: |P_i psi|^2."""
-    _check_state(a, psi)
-    dec = a.decomposition
-    if not 0 <= eigenvalue_index < len(dec.eigenvalues):
+    probabilities = ObservableReadout(a, psi).probabilities
+    if not 0 <= eigenvalue_index < probabilities.size:
         raise IndexOutOfRange(
-            f"eigenvalue index {eigenvalue_index} out of range [0, {len(dec.eigenvalues)})"
+            f"eigenvalue index {eigenvalue_index} out of range [0, {probabilities.size})"
         )
-    return float(dec.projection_norms_sq(psi.amplitudes)[eigenvalue_index])
+    return float(probabilities[eigenvalue_index])
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
-    _check_state(a, psi)
-    return a.decomposition.projection_norms_sq(psi.amplitudes)
+    return ObservableReadout(a, psi).probabilities
 
 
 class Sampler:
@@ -148,7 +142,9 @@ class Sampler:
     which the first draw computes and every later draw reuses. A draw that
     rounding puts at or past the last partial sum falls back to the last
     nonzero index. A draw takes anything with a `random()` method: a numpy
-    `Generator`, or a stream of `kernels.trial_streams`.
+    `Generator`, or a stream of `kernels.trial_streams`. A readout builds
+    the result of an index with its `outcome(idx, mode)`, and `measure`
+    returns that result for a drawn or forced index.
     """
 
     def __init__(self, probabilities):
@@ -173,13 +169,19 @@ class Sampler:
             raise IndexOutOfRange(f"forced index {force_index} out of range")
         return force_index
 
+    def measure(self, mode: SemanticsMode, rng,
+                force_index: Optional[int] = None) -> MeasurementOutcome:
+        """The `outcome` of a drawn index, or of `force_index` when one is given."""
+        return self.outcome(self.choose(rng, force_index), mode)
+
 
 class ObservableReadout(Sampler):
     """Measurement of an observable on one state, prepared once: the Born
     vector is computed here, and `outcome` builds the result of any index."""
 
     def __init__(self, a: Observable, psi: StateVector):
-        _check_state(a, psi)
+        if a.dim != psi.dim:
+            raise DimensionMismatch(f"operator dim {a.dim} != state dim {psi.dim}")
         self.decomposition = a.decomposition
         self.psi = psi
         super().__init__(self.decomposition.projection_norms_sq(psi.amplitudes))
@@ -199,55 +201,30 @@ def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random
     `force_index` selects an eigenvalue deterministically (must have nonzero
     probability); used for exhaustive branch coverage in tests and protocols.
     """
-    readout = ObservableReadout(a, psi)
-    return readout.outcome(readout.choose(rng, force_index), mode)
+    return ObservableReadout(a, psi).measure(mode, rng, force_index)
 
 
 def lift(a: Observable, subsystem: int, dims) -> Observable:
     """Embed a local observable as I x ... x a x ... x I on the composite space."""
     dims = tuple(int(d) for d in dims)
-    before, after = _split(dims, subsystem)
-    if a.dim != dims[subsystem]:
-        raise DimensionMismatch(
-            f"operator dim {a.dim} != subsystem dim {dims[subsystem]}"
-        )
+    before, after = _split(dims, subsystem, a)
     mat = np.kron(np.kron(np.eye(before), a.matrix), np.eye(after))
     return Observable(mat, dims)
 
 
-def _split(dims, subsystem: int) -> tuple[int, int]:
-    """Dimensions of the factors before and after the given subsystem."""
+def _split(dims, subsystem: int, a: Optional[Observable] = None) -> tuple[int, int]:
+    """Dimensions of the factors before and after the given subsystem, on
+    which the local observable `a`, when given, must act."""
     if not 0 <= subsystem < len(dims):
         raise IndexOutOfRange(f"subsystem {subsystem} out of range for dims {dims}")
+    if a is not None and a.dim != dims[subsystem]:
+        raise DimensionMismatch(f"operator dim {a.dim} != subsystem dim {dims[subsystem]}")
     return math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
 
 
 def partial_probabilities(a: Observable, subsystem: int, psi: StateVector) -> np.ndarray:
     """Born probabilities of a local measurement: |(E_j x I) psi|^2 per eigenvalue."""
-    return _local_components(a, subsystem, psi)[2]
-
-
-def _local_components(a: Observable, subsystem: int, psi: StateVector):
-    """Local eigenbasis (columns), components comps[j] = (<alpha_j| x I) psi of
-    shape (d, before, after), and their Born probabilities."""
-    dims = psi.dims
-    before, after = _split(dims, subsystem)
-    if a.dim != dims[subsystem]:
-        raise DimensionMismatch(
-            f"operator dim {a.dim} != subsystem dim {dims[subsystem]}"
-        )
-    dec = a.decomposition
-    if dec.degenerate:
-        raise DegenerateLocalObservable(
-            "local observable is degenerate on its own subsystem; "
-            "measure the lifted operator instead"
-        )
-    # (before, d, after) with the measured factor on its own axis
-    mat = psi.amplitudes.reshape(before, a.dim, after)
-    # vectors of the nondegenerate local basis, columns -> (d, d)
-    basis = dec.vectors
-    comps = np.einsum("dj,bda->jba", basis.conj(), mat)
-    return basis, comps, np.sum(np.abs(comps) ** 2, axis=(1, 2))
+    return RegisterReadout(psi, subsystem, a).probabilities
 
 
 def partial_measure(
@@ -258,65 +235,53 @@ def partial_measure(
     rng: np.random.Generator,
     force_index: Optional[int] = None,
 ) -> MeasurementOutcome:
-    """Measure a locally nondegenerate observable on one subsystem.
-
-    Probabilities follow the composite-space Born rule. The composite
-    Lueders post-state factorizes with the measured subsystem in the outcome
-    eigenstate; that subsystem eigenstate is reported in every mode. Under
-    strict von Neumann semantics the lifted operator is degenerate whenever
-    the rest of the system is nontrivial, so the composite post-state is then
-    left undetermined.
-    """
-    basis, comps, probs = _local_components(a, subsystem, psi)
-    idx = Sampler(probs).choose(rng, force_index)
-
-    def project():
-        # |alpha_j> x phi, reassembled in the original axis order
-        return np.einsum("d,ba->bda", basis[:, idx], comps[idx]).reshape(-1)
-
-    return _local_outcome(psi, mode, float(a.decomposition.eigenvalues[idx]), probs[idx],
-                          project, basis[:, idx])
-
-
-def _local_outcome(psi: StateVector, mode: SemanticsMode, eigenvalue: float, probability: float,
-                   project: Callable[[], np.ndarray], local_vec: np.ndarray) -> MeasurementOutcome:
-    """Outcome of a locally nondegenerate measurement with eigenvector
-    `local_vec`: E_j x I has the rank of the rest of the system."""
-    return MeasurementOutcome(eigenvalue, float(probability), mode, psi.dim // local_vec.size,
-                              psi.dims, project, local_vec, local_vec)
+    """Measure a locally nondegenerate observable on one subsystem: the
+    `RegisterReadout` of that subsystem in the eigenbasis of `a`."""
+    return RegisterReadout(psi, subsystem, a).measure(mode, rng, force_index)
 
 
 class RegisterReadout(Sampler):
-    """Computational-basis readout of one subsystem: eigenvalue k on |k>.
+    """Readout of one subsystem in a local nondegenerate basis, prepared once.
 
-    This is `partial_measure` with the diagonal observable diag(0..d-1),
-    without building it: the Born probabilities are the marginal of |psi|^2
-    over the other subsystems, computed once here and shared by every draw
-    and `measure` call, and the Lueders post-state is the slice of the
-    outcome index. The readout is nondegenerate on its subsystem, so strict
-    von Neumann determines the composite post-state only when the subsystem
-    is the whole space; the drawn index does not depend on the mode.
+    The basis is the eigenbasis of the local observable `a`, or without `a`
+    the computational basis, eigenvalue k on |k>, read from the amplitudes
+    without building an operator. The components (<b_j| x I) psi are stored
+    with the measured factor on the middle axis, and their Born
+    probabilities are computed once here and shared by every draw. The
+    probabilities follow the composite-space Born rule; the Lueders
+    post-state is |b_j> x component j, with the subsystem pinned to |b_j>,
+    which is reported in every mode. E_j x I has the rank of the rest of
+    the system, so strict von Neumann determines the composite post-state
+    only when the subsystem is the whole space; the drawn index does not
+    depend on the mode.
     """
 
-    def __init__(self, psi: StateVector, subsystem: int):
-        before, after = _split(psi.dims, subsystem)
+    def __init__(self, psi: StateVector, subsystem: int, a: Optional[Observable] = None):
+        before, after = _split(psi.dims, subsystem, a)
         self.psi = psi
         self._mat = psi.amplitudes.reshape(before, psi.dims[subsystem], after)
+        self._decomposition = None
+        if a is not None:
+            self._decomposition = a.decomposition
+            if self._decomposition.degenerate:
+                raise DegenerateLocalObservable(
+                    "local observable is degenerate on its own subsystem; "
+                    "measure the lifted operator instead"
+                )
+            self._mat = np.einsum("dj,bda->bja", self._decomposition.vectors.conj(), self._mat)
         super().__init__(np.sum(np.abs(self._mat) ** 2, axis=(0, 2)))
 
-    def measure(self, mode: SemanticsMode, rng: np.random.Generator,
-                force_index: Optional[int] = None) -> MeasurementOutcome:
-        idx = self.choose(rng, force_index)
-
-        def project():
-            projected = np.zeros_like(self._mat)
-            projected[:, idx, :] = self._mat[:, idx, :]
-            return projected.reshape(-1)
-
-        local_vec = np.zeros(self.probabilities.size, dtype=np.complex128)
-        local_vec[idx] = 1.0
-        return _local_outcome(self.psi, mode, float(idx), self.probabilities[idx], project,
-                              local_vec)
+    def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
+        dec, component = self._decomposition, self._mat[:, idx, :]
+        if dec is None:
+            eigenvalue, local = float(idx), np.zeros(self.probabilities.size, dtype=np.complex128)
+            local[idx] = 1.0
+        else:
+            eigenvalue, local = float(dec.eigenvalues[idx]), dec.vectors[:, idx]
+        return MeasurementOutcome(eigenvalue, float(self.probabilities[idx]), mode,
+                                  self.psi.dim // local.size, self.psi.dims,
+                                  lambda: np.einsum("d,ba->bda", local, component).reshape(-1),
+                                  local, local)
 
 
 def build_refinement(a: Observable) -> RefinementObservable:

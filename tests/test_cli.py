@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -288,6 +290,57 @@ class TestAlgorithmCommands:
                                 "--mode", mode, "--trials", "25", "--seed", "13")
             outs[mode] = json.loads(out)["outcomes"]
         assert outs["lueders"] == outs["von-neumann"]
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("argv,exit_code", [
+        (("teleport", "--alpha", "-0.6,0", "--beta", "0.8,0", "--trials", "20"), 0),
+        (("teleport", "--mode", "von-neumann", "--alpha", "0.6,0", "--beta", "-0.8,-0.1"), 2),
+        (("measure", "--observable", "x", "--alpha", "-0.6,0", "--beta", "-0.8,0.1",
+          "--trials", "20"), 0),
+        (("measure", "--beta", "-1e-3,-inf"), 1),
+    ])
+    def test_amplitude_as_separate_token(self, capsys, argv, exit_code):
+        """`--alpha -0.6,0` reports as `--alpha=-0.6,0` does."""
+        joined = []
+        for arg in argv:
+            if joined and joined[-1] in ("--alpha", "--beta"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code, err
+        assert (code, out, err) == run_cli(capsys, *joined)
+
+    @pytest.mark.parametrize("command", ["teleport", "measure"])
+    def test_negative_seed(self, capsys, command):
+        """The parsers that take negative amplitudes still take a negative seed."""
+        code, out, err = run_cli(capsys, command, "--seed", "-1", "--trials", "5")
+        assert code == 0, err
+        assert json.loads(out)["config"]["seed"] == -1
+        assert (code, out, err) == run_cli(capsys, command, "--seed=-1", "--trials", "5")
+
+
+README = TESTS.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `postulate-sim` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("postulate-sim ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples(capsys, monkeypatch, tmp_path, argv):
+    """Each documented command runs as written, with the oracle files it
+    names; the strict teleport exits 2 and every other command 0."""
+    monkeypatch.chdir(tmp_path)
+    alg.save_oracle(alg.balanced_oracle(3, np.random.default_rng(5)), "my_oracle.txt")
+    alg.save_oracle(alg.simon_oracle(3, 0b101, np.random.default_rng(6)), "s101.txt")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (2 if argv[0] == "teleport" and "von-neumann" in argv else 0), err
+    assert json.loads(out)["config"]["command"] == argv[0]
 
 
 class TestErrors:

@@ -426,11 +426,25 @@ class TestSampleIndex:
 
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_readouts_draw_as_their_measure(self, mode):
-        """A readout's draw is the index its `measure` returns from the same stream."""
+        """A readout's draw is the index its `measure` returns from the same
+        stream; in a local eigenbasis, draw and outcome are `partial_measure`'s."""
         rng = np.random.default_rng(21)
         psi = random_state(rng, 8, (2, 4))
         a = random_hermitian(rng, 8)
         full, register = ObservableReadout(a, psi), RegisterReadout(psi, 1)
+        a_local = random_hermitian(rng, 4)
+        assert not a_local.decomposition.degenerate
+        local = RegisterReadout(psi, 1, a_local)
+        np.testing.assert_array_equal(local.probabilities, partial_probabilities(a_local, 1, psi))
+        # the lifted dense observable is the reference for the complex local basis
+        lifted = lift(a_local, 1, (2, 4))
+        np.testing.assert_allclose(local.probabilities, born_probabilities(lifted, psi),
+                                   atol=1e-12)
+        for j in range(4):
+            got, ref = local.outcome(j, mode), measure(lifted, psi, mode, None, force_index=j)
+            assert got.projector_rank == ref.projector_rank == 2
+            assert phase_equal(got.post_state or got.lueders_post_state,
+                               ref.post_state or ref.lueders_post_state, 1e-10)
         for seed in range(40):
             idx = full.draw(np.random.default_rng(seed))
             out = measure(a, psi, mode, np.random.default_rng(seed))
@@ -438,6 +452,25 @@ class TestSampleIndex:
             assert out.eigenvalue == a.decomposition.eigenvalues[idx]
             assert register.draw(np.random.default_rng(seed)) == \
                 register.measure(mode, np.random.default_rng(seed)).eigenvalue
+            idx = local.draw(np.random.default_rng(seed))
+            got = local.measure(mode, np.random.default_rng(seed))
+            ref = partial_measure(a_local, 1, psi, mode, np.random.default_rng(seed))
+            assert got.eigenvalue == ref.eigenvalue == a_local.decomposition.eigenvalues[idx]
+            assert got.probability == ref.probability == local.probabilities[idx]
+            assert got.determined == ref.determined == (mode is LUEDERS)
+            assert got.projector_rank == ref.projector_rank == 2
+            assert_same_state(got.post_state, ref.post_state)
+            assert_same_state(got.lueders_post_state, ref.lueders_post_state)
+            assert_same_state(got.subsystem_post_state, ref.subsystem_post_state)
+
+    def test_local_observable_checked_at_construction(self):
+        psi = random_state(np.random.default_rng(23), 8, (2, 4))
+        with pytest.raises(DegenerateLocalObservable):
+            RegisterReadout(psi, 1, Observable(np.diag([0.0, 0.0, 1.0, 2.0])))
+        with pytest.raises(DimensionMismatch):
+            RegisterReadout(psi, 1, SIGMA3)
+        with pytest.raises(IndexOutOfRange):
+            RegisterReadout(psi, 2, SIGMA3)
 
 
 # register layouts of 1-4 qubits, measured first, in the middle and last
