@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # tokens that start with '-' but are values, not options: argparse's own
-# negative numbers, and any re,im pair such as -0.6,0
-_NEGATIVE_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-[^,]*,[^,]*$")
+# negative numbers, and any comma-separated list such as -0.6,0 or -1,2,3
+_NEGATIVE_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-[^,]*(,[^,]*)+$")
 
 
 def _complex_pair(text: str) -> complex:
@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grover", help="search for marked indices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked", type=_int_list, required=True, metavar="I,J,...")
+    p._negative_number_matcher = _NEGATIVE_VALUE
     common(p)
 
     p = sub.add_parser("measure", help="measure a Pauli observable on one qubit")

@@ -1,11 +1,12 @@
 """Teleportation of one qubit through a shared Bell pair.
 
 The sender measures her two qubits in the Bell basis; the receiver applies
-a Pauli correction keyed by two classical bits. Under Lueders semantics the
-protocol succeeds exactly. Under strict von Neumann semantics the Bell
-observable, lifted to the three-qubit space, is degenerate (every
-eigenvalue has multiplicity two), so the measurement determines no
-post-state and the protocol reports itself blocked.
+a Pauli correction keyed by two classical bits. The Bell measurement is a
+local readout of the sender's 4-dim factor: each outcome projector
+|B_k><B_k| x I has rank two on the three-qubit space. Under Lueders
+semantics the protocol succeeds exactly. Under strict von Neumann semantics
+that rank-two projector determines no post-state, and the protocol reports
+itself blocked.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import Observable, StateVector, phase_normalize
-from .measurement import ObservableReadout, SemanticsMode, lift
+from .measurement import RegisterReadout, SemanticsMode
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -85,11 +86,6 @@ _CORRECTIONS = {
 }
 
 
-@lru_cache(maxsize=1)
-def lifted_bell_observable() -> Observable:
-    return lift(bell_basis_observable(), 0, (4, 2))
-
-
 def teleport_input(psi_in: StateVector) -> StateVector:
     """|psi>|Phi+>, the sender's two qubits grouped into one 4-dim factor."""
     # the outer product of two vectors, flattened, is their Kronecker product
@@ -97,18 +93,19 @@ def teleport_input(psi_in: StateVector) -> StateVector:
                        (4, 2))
 
 
-class Teleportation(ObservableReadout):
-    """|psi>|Phi+> read out in the lifted Bell basis, prepared once.
+class Teleportation(RegisterReadout):
+    """|psi>|Phi+> with the sender's pair read out in the Bell basis, prepared once.
 
     The Born vector of the four Bell outcomes is computed here and serves
     every draw; the result of each branch (index = `BellKind` value) is
-    built on first read and reused.
+    built on first read and reused. Bob's state in branch k is the stored
+    component (<B_k| x I)|psi>|Phi+>.
     """
 
     def __init__(self, psi_in: StateVector, mode: SemanticsMode):
         if psi_in.dim != 2:
             raise ValueError("teleport expects a single-qubit input state")
-        super().__init__(lifted_bell_observable(), teleport_input(psi_in))
+        super().__init__(teleport_input(psi_in), 0, bell_basis_observable())
         self.mode = mode
         self._branches: dict[int, TeleportResult] = {}
 
@@ -116,16 +113,14 @@ class Teleportation(ObservableReadout):
         """The result of Bell branch `idx`, built on its first read."""
         if idx in self._branches:
             return self._branches[idx]
-        outcome = self.outcome(idx, self.mode)
-        kind = BellKind(int(round(outcome.eigenvalue)))
+        kind = BellKind(idx)
         label, gate = _CORRECTIONS[kind]
         bob_before = bob_after = blocked = None
         if self.mode is SemanticsMode.STRICT_VON_NEUMANN:
-            dec = self.decomposition
-            blocked = DegeneracyReport(self.psi.dim, len(dec.eigenvalues), list(dec.multiplicities))
+            rank = self.outcome(idx, self.mode).projector_rank
+            blocked = DegeneracyReport(self.psi.dim, len(BellKind), [rank] * len(BellKind))
         else:
-            # the post-state is |B_k> x phi; contract out the Bell factor
-            phi = bell_state(kind).amplitudes.conj() @ outcome.post_state.amplitudes.reshape(4, 2)
+            phi = self._mat[0, idx]  # the Bell factor is first, so `before` is 1
             bob_before = StateVector(phase_normalize(phi / np.linalg.norm(phi)), (2,))
             bob_after = StateVector(phase_normalize(gate @ bob_before.amplitudes), (2,))
         result = self._branches[idx] = TeleportResult(
@@ -135,7 +130,7 @@ class Teleportation(ObservableReadout):
             correction=label,
             bob_state_after_correction=bob_after,
             blocked=blocked,
-            probability=outcome.probability,
+            probability=float(self.probabilities[idx]),
         )
         return result
 

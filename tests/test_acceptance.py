@@ -29,10 +29,10 @@ from postulate_sim.measurement import (
 from postulate_sim.protocols import (
     BellKind,
     bell_state,
-    lifted_bell_observable,
     teleport,
 )
 from test_algorithms import argument_observable
+from test_protocols import lifted_bell_observable
 
 LUEDERS = SemanticsMode.LUEDERS
 STRICT = SemanticsMode.STRICT_VON_NEUMANN

@@ -1,20 +1,36 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from postulate_sim import hilbert, protocols
 from postulate_sim.hilbert import StateVector, phase_equal, tensor_state
-from postulate_sim.measurement import SemanticsMode, born_probabilities
+from postulate_sim.measurement import (
+    SemanticsMode,
+    born_probabilities,
+    lift,
+    measure,
+    partial_probabilities,
+)
 from postulate_sim.protocols import (
     BellKind,
+    DegeneracyReport,
     bell_basis_observable,
     bell_state,
     Teleportation,
-    lifted_bell_observable,
     teleport,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
 LUEDERS = SemanticsMode.LUEDERS
 STRICT = SemanticsMode.STRICT_VON_NEUMANN
+
+
+@lru_cache(maxsize=1)
+def lifted_bell_observable():
+    """Dense reference: the Bell observable lifted to B x I on (4, 2), an 8x8
+    matrix whose `eigh` finds each Bell eigenvalue twice."""
+    return lift(bell_basis_observable(), 0, (4, 2))
 
 
 def random_qubit(rng):
@@ -202,8 +218,10 @@ class TestTeleportation:
         for _ in range(20):
             psi = random_qubit(rng)
             run = Teleportation(psi, mode)
-            np.testing.assert_array_equal(run.probabilities, born_probabilities(
-                lifted_bell_observable(), run.psi))
+            np.testing.assert_array_equal(run.probabilities, partial_probabilities(
+                bell_basis_observable(), 0, run.psi))
+            np.testing.assert_allclose(run.probabilities, born_probabilities(
+                lifted_bell_observable(), run.psi), rtol=0, atol=1e-12)
             for seed in range(8):
                 idx = run.draw(np.random.default_rng(seed))
                 assert_same_result(run.branch(idx), teleport(psi, mode, np.random.default_rng(seed)))
@@ -216,6 +234,39 @@ class TestTeleportation:
         first = [run.branch(kind.value) for kind in BellKind]
         assert all(a is run.branch(kind.value) for a, kind in zip(first, BellKind))
         assert [r.outcome_kind for r in first] == list(BellKind)
+
+    def test_branches_match_lifted_reference(self):
+        """Every forced branch agrees with the dense lifted observable: Bob's
+        state is the Bell factor contracted out of its Lueders post-state,
+        and the strict rank is its eigenvalue's multiplicity under `eigh`."""
+        rng = np.random.default_rng(41)
+        lifted = lifted_bell_observable()
+        for _ in range(50):
+            psi = random_qubit(rng)
+            lueders, strict = Teleportation(psi, LUEDERS), Teleportation(psi, STRICT)
+            for kind in BellKind:
+                ref = measure(lifted, lueders.psi, LUEDERS, None, force_index=kind.value)
+                assert ref.eigenvalue == pytest.approx(kind.value, abs=1e-12)
+                bob = bell_state(kind).amplitudes.conj() @ ref.post_state.amplitudes.reshape(4, 2)
+                res = lueders.branch(kind.value)
+                assert res.probability == pytest.approx(ref.probability, abs=1e-12)
+                assert phase_equal(res.bob_state_before_correction,
+                                   StateVector(bob / np.linalg.norm(bob)), 1e-10)
+                mult = lifted.decomposition.multiplicities[kind.value]
+                assert strict.outcome(kind.value, STRICT).projector_rank == mult
+                assert strict.branch(kind.value).blocked.multiplicities[kind.value] == mult
+
+    def test_strict_verdict_needs_no_merged_eigenvalues(self, monkeypatch):
+        """With no eigenvalue merging at all, the dense 8x8 `eigh` splits
+        every Bell eigenvalue, but the verdict, which is the rank of
+        |B_k><B_k| x I, stays [2, 2, 2, 2]."""
+        monkeypatch.setattr(hilbert, "DEGEN_TOL", -1.0)
+        fresh = protocols.bell_basis_observable.__wrapped__
+        monkeypatch.setattr(protocols, "bell_basis_observable", fresh)
+        assert hilbert.spectral_decompose(lift(fresh(), 0, (4, 2))).multiplicities == (1,) * 8
+        run = Teleportation(random_qubit(np.random.default_rng(42)), STRICT)
+        for kind in BellKind:
+            assert run.branch(kind.value).blocked == DegeneracyReport(8, 4, [2, 2, 2, 2])
 
     def test_rejects_wide_input(self):
         with pytest.raises(ValueError):
