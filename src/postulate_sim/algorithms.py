@@ -72,16 +72,13 @@ class BooleanOracle:
         t = oracle.table
         if np.any(t < 0) or np.any(t >= 2 ** n):
             raise InvalidOracle(f"Simon oracle outputs must fit in {n} bits")
-        s = 0
-        for y in range(1, t.size):
-            if t[y] == t[0]:
-                s = y
-                break
-        if s == 0:
+        collisions = np.flatnonzero(t[1:] == t[0])
+        if collisions.size == 0:
             raise InvalidOracle("Simon oracle has no collision with input 0 (s would be 0)")
-        for x in range(t.size):
-            if t[x] != t[x ^ s]:
-                raise InvalidOracle(f"f({x}) != f({x}^s) for derived s={s:0{n}b}")
+        s = int(collisions[0]) + 1
+        broken = np.flatnonzero(t != t[np.arange(t.size) ^ s])
+        if broken.size:
+            raise InvalidOracle(f"f({broken[0]}) != f({broken[0]}^s) for derived s={s:0{n}b}")
         if len(set(t.tolist())) != t.size // 2:
             raise InvalidOracle("Simon oracle is not exactly 2-to-1")
         oracle.hidden_period = s

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, algorithms, kernels, protocols
 from .errors import PostulateSimError
 from .hilbert import Observable, StateVector
-from .measurement import ObservableReadout, SemanticsMode
+from .measurement import RegisterReadout, SemanticsMode
 
 SCHEMA = "postulate-sim/1"
 
@@ -255,7 +255,7 @@ def _run_grover(args) -> tuple[dict, int]:
 def _run_measure(args) -> tuple[dict, int]:
     mode = SemanticsMode.from_string(args.mode)
     psi = _input_qubit(args.alpha, args.beta)
-    readout = ObservableReadout(Observable(_PAULIS[args.observable], (2,)), psi)
+    readout = RegisterReadout(psi, None, Observable(_PAULIS[args.observable], (2,)))
 
     def entry(idx):
         outcome = readout.outcome(idx, mode)

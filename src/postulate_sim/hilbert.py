@@ -83,9 +83,10 @@ class SpectralDecomposition:
     """Distinct sorted eigenvalues over one orthonormal eigenvector matrix.
 
     Eigenvalues closer than DEGEN_TOL are merged (mean value, combined
-    eigenspace). The columns of `vectors` are grouped by eigenvalue, and
-    `blocks[i]` is the column slice spanning eigenspace i (a view, not a
-    copy); no dense projector is ever formed.
+    eigenspace). The columns of `vectors` are grouped by eigenvalue:
+    `labels[j]` is the eigenspace index of column j, and `blocks[i]` is the
+    column slice spanning eigenspace i (a view, not a copy). A readout
+    projects through these columns; no dense projector is ever formed.
     """
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, multiplicities):
@@ -93,22 +94,11 @@ class SpectralDecomposition:
         self.vectors = vectors
         self.multiplicities = tuple(multiplicities)
         self.blocks = np.split(vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
-        # eigenspace index of every column of `vectors`
-        self._labels = np.repeat(np.arange(len(self.multiplicities)), self.multiplicities)
+        self.labels = np.repeat(np.arange(len(self.multiplicities)), self.multiplicities)
 
     @property
     def degenerate(self) -> bool:
         return max(self.multiplicities) > 1
-
-    def projection_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
-        """|P_i psi|^2 for every eigenvalue: one product with the eigenvector
-        matrix (psi^dag V, whose moduli are those of V^dag psi) summed per eigenspace."""
-        comps = np.abs(amplitudes.conj() @ self.vectors) ** 2
-        return np.bincount(self._labels, weights=comps)
-
-    def project(self, amplitudes: np.ndarray, index: int) -> np.ndarray:
-        b = self.blocks[index]
-        return b @ (b.conj().T @ amplitudes)
 
 
 class Observable:

@@ -9,13 +9,15 @@ Two collapse rules are implemented side by side:
   carries the rank of its eigenspace, and the Lueders state as a diagnostic,
   so the two semantics can be contrasted in reports).
 
-A local readout (`RegisterReadout`, and `partial_measure` on it) measures one
-subsystem in a nondegenerate basis: a local observable's eigenbasis, or the
-computational basis without building the diagonal observable. It follows the
-composite-space Born rule for probabilities and always pins the measured
-subsystem to the outcome eigenstate. A readout is prepared once per state:
-its Born vector is computed once, and every draw reuses one running sum
-(`Sampler`), whose `measure` builds the outcome of a drawn index.
+Every measurement is one readout, `RegisterReadout`: an observable on the
+whole space (`measure`, `born_probabilities`), a nondegenerate local
+observable on one subsystem (`partial_measure`), or one subsystem's
+computational basis, read without building the diagonal observable. It
+projects onto the eigenspace of the outcome and reads the rank of that
+projector: the multiplicity times the dimension of the rest of the system.
+A readout is prepared once per state: its Born vector is computed once, and
+every draw reuses one running sum (`Sampler`), whose `measure` builds the
+outcome of a drawn index.
 """
 from __future__ import annotations
 
@@ -51,15 +53,17 @@ class MeasurementOutcome:
     outcome (`projector_rank` > 1): `post_state` is then None and
     `lueders_post_state` records what the other semantics would have claimed.
 
-    The post-state is built on first read: the eigenvector under strict von
+    The post-state is built on first read: the `eigenstate` under strict von
     Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
-    the renormalized projection `project()`, or None when that is 0. A local
-    measurement also reports its subsystem eigenstate `local`.
+    the renormalized projection `project()`, or None when that is 0. The
+    eigenstate is the measured subsystem's basis vector, or for a whole-space
+    observable the eigenvector of a one-dimensional eigenspace (None when the
+    eigenspace is degenerate); `subsystem_post_state` reports it.
     """
 
     def __init__(self, eigenvalue: float, probability: float, mode: SemanticsMode,
                  projector_rank: int, dims: tuple, project: Callable[[], np.ndarray],
-                 eigenvector: np.ndarray, local: Optional[np.ndarray] = None):
+                 eigenstate: Optional[np.ndarray]):
         self.eigenvalue = eigenvalue
         self.probability = probability
         self.mode = mode
@@ -67,8 +71,7 @@ class MeasurementOutcome:
         self.determined = mode is SemanticsMode.LUEDERS or projector_rank == 1
         self._dims = dims
         self._project = project
-        self._eigenvector = eigenvector
-        self._local = local
+        self._eigenstate = eigenstate
         self._state: Optional[StateVector] = None
         self._subsystem_state: Optional[StateVector] = None
 
@@ -77,12 +80,12 @@ class MeasurementOutcome:
         # `_project` is dropped once the state is built
         if self._project is not None:
             if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
-                self._state = StateVector(phase_normalize(self._eigenvector), self._dims)
+                self._state = StateVector(phase_normalize(self._eigenstate), self._dims)
             else:
                 projected = self._project()
                 norm = np.linalg.norm(projected)
                 self._state = StateVector(projected / norm, self._dims) if norm > 0 else None
-            self._project = self._eigenvector = None
+            self._project = None
         return self._state
 
     @property
@@ -95,8 +98,9 @@ class MeasurementOutcome:
 
     @property
     def subsystem_post_state(self) -> Optional[StateVector]:
-        if self._subsystem_state is None and self._local is not None:
-            self._subsystem_state = StateVector(phase_normalize(self._local), (self._local.size,))
+        if self._subsystem_state is None and self._eigenstate is not None:
+            self._subsystem_state = StateVector(phase_normalize(self._eigenstate),
+                                                (self._eigenstate.size,))
         return self._subsystem_state
 
     def __repr__(self):
@@ -123,7 +127,7 @@ class RefinementObservable:
 
 def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> float:
     """Probability of the eigenvalue at the given index: |P_i psi|^2."""
-    probabilities = ObservableReadout(a, psi).probabilities
+    probabilities = RegisterReadout(psi, None, a).probabilities
     if not 0 <= eigenvalue_index < probabilities.size:
         raise IndexOutOfRange(
             f"eigenvalue index {eigenvalue_index} out of range [0, {probabilities.size})"
@@ -132,7 +136,7 @@ def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> 
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
-    return ObservableReadout(a, psi).probabilities
+    return RegisterReadout(psi, None, a).probabilities
 
 
 class Sampler:
@@ -142,9 +146,9 @@ class Sampler:
     which the first draw computes and every later draw reuses. A draw that
     rounding puts at or past the last partial sum falls back to the last
     nonzero index. A draw takes anything with a `random()` method: a numpy
-    `Generator`, or a stream of `kernels.trial_streams`. A readout builds
-    the result of an index with its `outcome(idx, mode)`, and `measure`
-    returns that result for a drawn or forced index.
+    `Generator`, or a stream of `kernels.trial_streams`. The one readout,
+    `RegisterReadout`, builds the result of an index with `outcome(idx,
+    mode)`, and `measure` returns that result for a drawn or forced index.
     """
 
     def __init__(self, probabilities):
@@ -175,25 +179,6 @@ class Sampler:
         return self.outcome(self.choose(rng, force_index), mode)
 
 
-class ObservableReadout(Sampler):
-    """Measurement of an observable on one state, prepared once: the Born
-    vector is computed here, and `outcome` builds the result of any index."""
-
-    def __init__(self, a: Observable, psi: StateVector):
-        if a.dim != psi.dim:
-            raise DimensionMismatch(f"operator dim {a.dim} != state dim {psi.dim}")
-        self.decomposition = a.decomposition
-        self.psi = psi
-        super().__init__(self.decomposition.projection_norms_sq(psi.amplitudes))
-
-    def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
-        dec, psi = self.decomposition, self.psi
-        block = dec.blocks[idx]
-        return MeasurementOutcome(float(dec.eigenvalues[idx]), float(self.probabilities[idx]),
-                                  mode, block.shape[1], psi.dims,
-                                  lambda: dec.project(psi.amplitudes, idx), block[:, 0])
-
-
 def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random.Generator,
             force_index: Optional[int] = None) -> MeasurementOutcome:
     """Sample one outcome of measuring `a` on `psi` under the given semantics.
@@ -201,7 +186,7 @@ def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random
     `force_index` selects an eigenvalue deterministically (must have nonzero
     probability); used for exhaustive branch coverage in tests and protocols.
     """
-    return ObservableReadout(a, psi).measure(mode, rng, force_index)
+    return RegisterReadout(psi, None, a).measure(mode, rng, force_index)
 
 
 def lift(a: Observable, subsystem: int, dims) -> Observable:
@@ -241,47 +226,58 @@ def partial_measure(
 
 
 class RegisterReadout(Sampler):
-    """Readout of one subsystem in a local nondegenerate basis, prepared once.
+    """Readout of one subsystem, or of the whole space when `subsystem` is
+    None, in the eigenbasis of `a`, prepared once.
 
-    The basis is the eigenbasis of the local observable `a`, or without `a`
-    the computational basis, eigenvalue k on |k>, read from the amplitudes
-    without building an operator. The components (<b_j| x I) psi are stored
-    with the measured factor on the middle axis, and their Born
-    probabilities are computed once here and shared by every draw. The
-    probabilities follow the composite-space Born rule; the Lueders
-    post-state is |b_j> x component j, with the subsystem pinned to |b_j>,
-    which is reported in every mode. E_j x I has the rank of the rest of
-    the system, so strict von Neumann determines the composite post-state
-    only when the subsystem is the whole space; the drawn index does not
-    depend on the mode.
+    Without `a` the basis is the computational one, eigenvalue k on |k>, read
+    from the amplitudes without building an operator. The components
+    (<v_j| x I) psi of every basis vector are stored with the measured factor
+    on the middle axis. An eigenvalue's Born probability sums the weights of
+    its eigenspace's components, computed once here and shared by every
+    draw; its Lueders projection is the sum of |v_j> x component j over that
+    eigenspace; its projector rank is the multiplicity times the dimension of
+    the rest of the system. Strict von Neumann therefore determines a
+    post-state only on a one-dimensional eigenspace of the whole space; the
+    drawn index does not depend on the mode. A degenerate `a` on a subsystem
+    is rejected: measure its lift instead.
     """
 
-    def __init__(self, psi: StateVector, subsystem: int, a: Optional[Observable] = None):
-        before, after = _split(psi.dims, subsystem, a)
+    def __init__(self, psi: StateVector, subsystem: Optional[int],
+                 a: Optional[Observable] = None):
+        if subsystem is None:
+            if a is not None and a.dim != psi.dim:
+                raise DimensionMismatch(f"operator dim {a.dim} != state dim {psi.dim}")
+            before, measured, after = 1, psi.dim, 1
+        else:
+            before, after = _split(psi.dims, subsystem, a)
+            measured = psi.dims[subsystem]
         self.psi = psi
-        self._mat = psi.amplitudes.reshape(before, psi.dims[subsystem], after)
-        self._decomposition = None
+        self.decomposition = None if a is None else a.decomposition
+        self._mat = psi.amplitudes.reshape(before, measured, after)
         if a is not None:
-            self._decomposition = a.decomposition
-            if self._decomposition.degenerate:
-                raise DegenerateLocalObservable(
-                    "local observable is degenerate on its own subsystem; "
-                    "measure the lifted operator instead"
-                )
-            self._mat = np.einsum("dj,bda->bja", self._decomposition.vectors.conj(), self._mat)
-        super().__init__(np.sum(np.abs(self._mat) ** 2, axis=(0, 2)))
+            if subsystem is not None and a.decomposition.degenerate:
+                raise DegenerateLocalObservable("local observable is degenerate on its own "
+                                                "subsystem; measure the lifted operator instead")
+            # V^dag psi as conj(psi^dag V), one matrix product; the contiguous copy
+            # keeps the sums below in the order of a plain array
+            components = np.conj(np.conj(self._mat).swapaxes(1, 2) @ a.decomposition.vectors)
+            self._mat = np.ascontiguousarray(components.swapaxes(1, 2))
+        weights = np.sum(np.abs(self._mat) ** 2, axis=(0, 2))
+        super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
-        dec, component = self._decomposition, self._mat[:, idx, :]
-        if dec is None:
-            eigenvalue, local = float(idx), np.zeros(self.probabilities.size, dtype=np.complex128)
-            local[idx] = 1.0
+        dec = self.decomposition
+        if dec is None:  # the one column |idx>
+            block = np.eye(self._mat.shape[1], 1, -idx, dtype=np.complex128)
+            eigenvalue, columns = float(idx), slice(idx, idx + 1)
         else:
-            eigenvalue, local = float(dec.eigenvalues[idx]), dec.vectors[:, idx]
-        return MeasurementOutcome(eigenvalue, float(self.probabilities[idx]), mode,
-                                  self.psi.dim // local.size, self.psi.dims,
-                                  lambda: np.einsum("d,ba->bda", local, component).reshape(-1),
-                                  local, local)
+            block, columns = dec.blocks[idx], dec.labels == idx
+            eigenvalue = float(dec.eigenvalues[idx])
+        rank = block.shape[1] * self.psi.dim // self._mat.shape[1]
+        return MeasurementOutcome(eigenvalue, float(self.probabilities[idx]), mode, rank,
+                                  self.psi.dims,
+                                  lambda: (block @ self._mat[:, columns]).reshape(-1),
+                                  block[:, 0] if block.shape[1] == 1 else None)
 
 
 def build_refinement(a: Observable) -> RefinementObservable:

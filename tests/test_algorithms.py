@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +77,16 @@ class TestOracles:
     def test_simon_rejects_injective(self):
         with pytest.raises(InvalidOracle):
             alg.BooleanOracle.simon(2, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("n,table,message", [
+        # f(0) = f(1) derives s = 01, which f(2) = 1 != f(3) = 2 breaks
+        (2, [0, 0, 1, 2], "f(2) != f(2^s) for derived s=01"),
+        # s = 011 from f(3) = f(0); x = 4 is the first input it fails on
+        (3, [5, 1, 1, 5, 2, 3, 2, 3], "f(4) != f(4^s) for derived s=011"),
+    ])
+    def test_simon_names_first_input_off_period(self, n, table, message):
+        with pytest.raises(InvalidOracle, match=re.escape(message) + "$"):
+            alg.BooleanOracle.simon(n, table)
 
     def test_file_round_trip(self, tmp_path):
         o = alg.simon_oracle(3, 0b011, np.random.default_rng(2))

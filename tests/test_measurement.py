@@ -11,7 +11,6 @@ from postulate_sim.errors import (
 )
 from postulate_sim.hilbert import Observable, StateVector, phase_equal, tensor_op, tensor_state
 from postulate_sim.measurement import (
-    ObservableReadout,
     RegisterReadout,
     Sampler,
     SemanticsMode,
@@ -431,7 +430,7 @@ class TestSampleIndex:
         rng = np.random.default_rng(21)
         psi = random_state(rng, 8, (2, 4))
         a = random_hermitian(rng, 8)
-        full, register = ObservableReadout(a, psi), RegisterReadout(psi, 1)
+        full, register = RegisterReadout(psi, None, a), RegisterReadout(psi, 1)
         a_local = random_hermitian(rng, 4)
         assert not a_local.decomposition.degenerate
         local = RegisterReadout(psi, 1, a_local)
@@ -555,6 +554,45 @@ class TestRegisterReadout:
             assert phase_equal(got.post_state, ref.post_state, 1e-12)
             assert got.lueders_post_state is None and ref.lueders_post_state is None
 
+    def test_whole_space_forced_zero_probability_strict(self):
+        # the same rule through the whole-space readout of the dense observable:
+        # the one-column eigenspace is the post-state and the eigenstate
+        psi = StateVector(np.eye(4)[1], (4,))
+        readout = RegisterReadout(psi, None, argument_observable(2))
+        for idx in (0, 2, 3):
+            got = readout.measure(STRICT, None, force_index=idx)
+            assert got.probability == 0.0
+            assert got.determined and got.projector_rank == 1
+            np.testing.assert_array_equal(got.post_state.amplitudes, np.eye(4)[idx])
+            np.testing.assert_array_equal(got.subsystem_post_state.amplitudes, np.eye(4)[idx])
+            assert got.lueders_post_state is None
+            # Lueders projects psi to 0, so it has no post-state to give
+            assert readout.measure(LUEDERS, None, force_index=idx).post_state is None
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_whole_space_subsystem_post_state(self, mode):
+        """A whole-space outcome reports its eigenvector as `subsystem_post_state`
+        when the eigenspace is one-dimensional, and None when it is degenerate."""
+        rng = np.random.default_rng(43)
+        psi = random_state(rng, 8, (2, 4))
+        a = random_hermitian(rng, 8)
+        assert not a.decomposition.degenerate
+        readout = RegisterReadout(psi, None, a)
+        for j in range(8):
+            got = readout.outcome(j, mode)
+            strict = readout.outcome(j, STRICT)
+            assert got.subsystem_post_state.dims == (8,)
+            assert strict.post_state.dims == (2, 4)
+            np.testing.assert_array_equal(got.subsystem_post_state.amplitudes,
+                                          strict.post_state.amplitudes)
+            assert abs(np.vdot(got.subsystem_post_state.amplitudes,
+                               got.post_state.amplitudes)) > 1 - 1e-10
+        lifted = RegisterReadout(psi, None, lift(random_hermitian(rng, 4), 1, (2, 4)))
+        for j in range(4):
+            out = lifted.outcome(j, mode)
+            assert out.projector_rank == 2
+            assert out.subsystem_post_state is None
+
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_outcome_at_cap_stays_small(self, mode):
         """A Simon n = 8 register outcome lives on 2^16 amplitudes (1 MiB per
@@ -593,3 +631,62 @@ class TestRegisterReadout:
     def test_forced_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             RegisterReadout(bell_state(BellKind.PHI_PLUS), 0).measure(LUEDERS, None, force_index=2)
+
+
+class TestOneReadout:
+    """Every measurement projects onto the eigenspace of what is measured (von
+    Neumann 1932; Lueders 1951), so a local readout is the whole-space readout
+    of its lift, and a whole-space readout sums each degenerate eigenspace."""
+
+    def test_local_readout_is_its_lift(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        factor_dims = st.lists(st.integers(2, 8), min_size=2, max_size=3).filter(
+            lambda dims: int(np.prod(dims)) <= 64)
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(factor_dims, st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+        def check(dims, k, seed):
+            k %= len(dims)
+            rng = np.random.default_rng(seed)
+            psi = random_state(rng, int(np.prod(dims)), dims)
+            a = random_hermitian(rng, dims[k])
+            hypothesis.assume(np.min(np.diff(a.decomposition.eigenvalues), initial=1.0) > 1e-6)
+            local, whole = RegisterReadout(psi, k, a), RegisterReadout(psi, None, lift(a, k, dims))
+            np.testing.assert_allclose(local.probabilities, whole.probabilities, atol=1e-12)
+            for j in range(dims[k]):
+                for mode in (LUEDERS, STRICT):
+                    got, ref = local.outcome(j, mode), whole.outcome(j, mode)
+                    assert got.projector_rank == ref.projector_rank == psi.dim // dims[k]
+                    assert got.determined == ref.determined
+                lueders, ref = local.outcome(j, LUEDERS), whole.outcome(j, LUEDERS)
+                assert phase_equal(lueders.post_state, ref.post_state, 1e-10)
+
+        check()
+
+    def test_planted_degenerate_whole_space(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        planted_mults = st.lists(st.integers(1, 6), min_size=1, max_size=8).filter(
+            lambda mults: sum(mults) <= 64)
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(planted_mults, st.integers(0, 2 ** 32 - 1))
+        def check(mults, seed):
+            rng = np.random.default_rng(seed)
+            a, planted = planted_observable(rng, mults)
+            psi = random_state(rng, a.dim)
+            readout = RegisterReadout(psi, None, a)
+            np.testing.assert_allclose(readout.probabilities,
+                                       brute_force_probabilities(a.matrix, psi.amplitudes),
+                                       atol=1e-9)
+            for g, (m, cols) in enumerate(zip(mults, planted)):
+                strict, lueders = readout.outcome(g, STRICT), readout.outcome(g, LUEDERS)
+                assert strict.projector_rank == lueders.projector_rank == m
+                assert strict.determined == (m == 1)
+                assert (strict.subsystem_post_state is None) == (m > 1)
+                projected = cols @ (cols.conj().T @ psi.amplitudes)
+                assert abs(np.vdot(projected / np.linalg.norm(projected),
+                                   lueders.post_state.amplitudes)) > 1 - 1e-10
+
+        check()
