@@ -96,7 +96,9 @@ def constant_oracle(n: int, value: int = 0) -> BooleanOracle:
     return BooleanOracle.deutsch_jozsa(n, np.full(2 ** n, value, dtype=np.int64))
 
 
-def balanced_oracle(n: int, rng: np.random.Generator) -> BooleanOracle:
+def balanced_oracle(n: int, rng) -> BooleanOracle:
+    """f = 1 on the first half of `rng.permutation(2^n)`: a numpy `Generator`
+    and `kernels.seed_stream` of the same seed draw the same table."""
     _check_width(n, n + 1)
     table = np.zeros(2 ** n, dtype=np.int64)
     table[rng.permutation(2 ** n)[: 2 ** (n - 1)]] = 1

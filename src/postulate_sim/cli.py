@@ -191,7 +191,7 @@ def _dj_oracle(args) -> algorithms.BooleanOracle:
         raise PostulateSimError("dj: provide --oracle or --n")
     if args.kind == "constant":
         return algorithms.constant_oracle(args.n, args.value)
-    return algorithms.balanced_oracle(args.n, np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF))
+    return algorithms.balanced_oracle(args.n, kernels.seed_stream(args.seed))
 
 
 def _run_dj(args) -> tuple[dict, int]:

@@ -157,7 +157,7 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
     """
     mat = a.matrix
     diag = np.diagonal(mat)
-    if np.count_nonzero(mat - np.diag(diag)) == 0 and np.max(np.abs(diag.imag), initial=0.0) == 0:
+    if np.count_nonzero(mat) == np.count_nonzero(diag) and np.max(np.abs(diag.imag), initial=0.0) == 0:
         order = np.argsort(diag.real, kind="stable")
         values = diag.real[order]
         vectors = np.eye(mat.shape[0], dtype=np.complex128)[:, order]

@@ -5,10 +5,10 @@ integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
 Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
 sign matrix. Every sum is an exact integer before the final division by 2^n.
 Simon's classical step, the GF(2) nullspace of the sampled constraints, works
-on rows bit-packed into Python ints. The CLI's per-trial random streams are
-numpy's `default_rng(SeedSequence([seed, t]))`, rebuilt bit for bit: the
-SeedSequence hash in uint32 array arithmetic over all trials at once, then
-one PCG64 generator per trial (O'Neill, HMC-CS-2014-0905, 2014).
+on rows bit-packed into Python ints. The CLI's random streams are numpy's,
+rebuilt bit for bit without `numpy.random`: the SeedSequence hash in uint32
+array arithmetic over all streams at once, then one PCG64 generator per
+stream (O'Neill, HMC-CS-2014-0905, 2014) that draws as a `Generator` does.
 """
 from __future__ import annotations
 
@@ -141,7 +141,8 @@ def _seed_state(entropy: list[np.ndarray]) -> list[list[int]]:
 
 
 class _PCG64:
-    """numpy's PCG64 bit generator with `Generator.random()` on top."""
+    """numpy's PCG64 bit generator with `Generator.random()` and
+    `.permutation(int)` on top."""
 
     __slots__ = ("state", "inc")
 
@@ -158,17 +159,52 @@ class _PCG64:
         word = (word >> rot | word << (64 - rot)) & _MASK64
         return (word >> 11) * 2.0 ** -53
 
+    def permutation(self, size: int) -> list[int]:
+        """numpy's Fisher-Yates shuffle of range(size <= 2^32) (Durstenfeld,
+        CACM 7(7), 1964): i from size - 1 down to 1 swaps with j in [0, i],
+        drawn by rejection from 32-bit words masked to i's bit length, the
+        low half of each output first; `random()` skips a leftover high
+        half, as numpy's does. The output step is inlined for speed."""
+        perm = list(range(size))
+        state, inc, spare, top = self.state, self.inc, None, size - 1
+        while top > 0:  # one mask per bit length of i
+            mask = (1 << top.bit_length()) - 1
+            for i in range(top, mask >> 1, -1):
+                j = size  # > i: draw at least once
+                while j > i:
+                    if spare is None:
+                        state = (state * _PCG_MULT + inc) & _MASK128
+                        rot = state >> 122
+                        word = (state >> 64 ^ state) & _MASK64
+                        word = (word >> rot | word << (64 - rot)) & _MASK64
+                        j, spare = word & mask, word >> 32
+                    else:
+                        j, spare = spare & mask, None
+                perm[i], perm[j] = perm[j], perm[i]
+            top = mask >> 1
+        self.state = state
+        return perm
+
+
+def _streams(seed: int, count: int, *columns: np.ndarray) -> list[_PCG64]:
+    """`count` PCG64 streams seeded by SeedSequence from the 32-bit words of
+    `seed mod 2^64` (low first, at least one), then one word per column."""
+    seed &= _MASK64
+    entropy = [np.full(count, seed & _MASK32, dtype=np.uint32)]
+    if seed >> 32:
+        entropy.append(np.full(count, seed >> 32, dtype=np.uint32))
+    words = _seed_state(entropy + list(columns))
+    # PCG64 seeds from the four words as initstate and initseq, high word first
+    return [_PCG64(a << 64 | b, c << 64 | d) for a, b, c, d in zip(*words)]
+
+
+def seed_stream(seed: int) -> _PCG64:
+    """Draws exactly as `np.random.default_rng(seed mod 2^64)`."""
+    return _streams(seed, 1)[0]
+
 
 def trial_streams(seed: int, trials: int) -> list[_PCG64]:
     """Stream t draws exactly as
     `np.random.default_rng(np.random.SeedSequence([seed mod 2^64, t]))`,
-    for t < trials <= 2^32, without importing `numpy.random`."""
-    seed &= _MASK64
-    # SeedSequence's entropy words: the seed's 32-bit words, low first and
-    # at least one (0 is [0]), then t, one word
-    entropy = [np.full(trials, seed & _MASK32, dtype=np.uint32)]
-    if seed >> 32:
-        entropy.append(np.full(trials, seed >> 32, dtype=np.uint32))
-    entropy.append(np.arange(trials, dtype=np.uint32))
-    # PCG64 seeds from the four words as initstate and initseq, high word first
-    return [_PCG64(a << 64 | b, c << 64 | d) for a, b, c, d in zip(*_seed_state(entropy))]
+    for t < trials <= 2^32: the seed's entropy words, then t as one word."""
+    return _streams(seed, trials, np.arange(trials, dtype=np.uint32))

@@ -238,8 +238,9 @@ class RegisterReadout(Sampler):
     eigenspace; its projector rank is the multiplicity times the dimension of
     the rest of the system. Strict von Neumann therefore determines a
     post-state only on a one-dimensional eigenspace of the whole space; the
-    drawn index does not depend on the mode. A degenerate `a` on a subsystem
-    is rejected: measure its lift instead.
+    drawn index does not depend on the mode. A degenerate `a` is rejected
+    when the rest of the system is more than one-dimensional: measure its
+    lift instead.
     """
 
     def __init__(self, psi: StateVector, subsystem: Optional[int],
@@ -255,14 +256,14 @@ class RegisterReadout(Sampler):
         self.decomposition = None if a is None else a.decomposition
         self._mat = psi.amplitudes.reshape(before, measured, after)
         if a is not None:
-            if subsystem is not None and a.decomposition.degenerate:
+            if before * after > 1 and a.decomposition.degenerate:
                 raise DegenerateLocalObservable("local observable is degenerate on its own "
                                                 "subsystem; measure the lifted operator instead")
             # V^dag psi as conj(psi^dag V), one matrix product; the contiguous copy
             # keeps the sums below in the order of a plain array
             components = np.conj(np.conj(self._mat).swapaxes(1, 2) @ a.decomposition.vectors)
             self._mat = np.ascontiguousarray(components.swapaxes(1, 2))
-        weights = np.sum(np.abs(self._mat) ** 2, axis=(0, 2))
+        weights = (np.abs(self._mat) ** 2).sum(axis=(0, 2))
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:

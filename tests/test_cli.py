@@ -491,16 +491,18 @@ class TestErrors:
     (("grover", "--n", "3", "--marked", "5", "--trials", "20"), False),
     (("simon", "--n", "3", "--period", "101", "--trials", "5"), False),
     (("dj", "--n", "3", "--kind", "constant", "--trials", "5"), False),
-    # the balanced oracle's permutation is drawn by numpy's Generator
-    (("dj", "--n", "3", "--kind", "balanced"), True),
+    # the balanced oracle's permutation is drawn by `kernels.seed_stream`
+    (("dj", "--n", "3", "--kind", "balanced"), False),
+    (("dj", "--n", "15", "--kind", "balanced", "--seed", "-1"), False),
+    (("dj", "--n", "3", "--kind", "balanced", "--format", "text", "--seed", "4294967296"), False),
 ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
 def test_trial_streams_skip_numpy_random(argv, imported):
-    """Trial streams come from `kernels.trial_streams`, so a run whose oracle
-    needs no random permutation never imports `numpy.random`."""
+    """Trial streams come from `kernels.trial_streams` and a balanced oracle's
+    permutation from `kernels.seed_stream`, so no run imports `numpy.random`."""
     code, out, err, _ = run_limited(
         "from postulate_sim.cli import main; code = main(); "
         "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)", *argv)
-    assert code == 0 and json.loads(out)
+    assert code == 0 and (out.startswith("postulate-sim ") if "text" in argv else json.loads(out))
     assert err == f"{imported}\n"
 
 

@@ -191,6 +191,24 @@ class TestSpectralDecompose:
         np.testing.assert_array_equal(dec.vectors, np.eye(4)[:, [1, 3, 0, 2]])
         assert all(np.shares_memory(b, dec.vectors) for b in dec.blocks)
 
+    @pytest.mark.parametrize("matrix,diagonal", [
+        (np.diag([2.0, 0.0, 2.0, 1.0]), True),
+        (np.zeros((3, 3)), True),
+        # a zero diagonal: the nonzero count of the diagonal alone is 0
+        ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], False),
+        ([[1, 2j], [-2j, 1]], False),
+        ([[0, 0, 0], [0, 3, -0.5j], [0, 0.5j, 0]], False),
+    ])
+    def test_only_a_diagonal_matrix_skips_eigh(self, monkeypatch, matrix, diagonal):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        a = Observable(matrix)
+        dec = spectral_decompose(a)
+        assert len(calls) == (0 if diagonal else 1)
+        recon = sum(ev * p for ev, p in zip(dec.eigenvalues, projectors(dec)))
+        np.testing.assert_allclose(recon, a.matrix, atol=1e-12)
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_random_hermitian_invariants(self, dim):
         rng = np.random.default_rng(dim)

@@ -1,11 +1,12 @@
 """The kernels against brute-force references: the dense sign-matrix formulas
 they replace and the plain loops they vectorize. The Walsh-Hadamard sums are
 exact integers before the division by 2^n, so equality is exact. The trial
-streams are checked bit for bit against `numpy.random`, their reference."""
+streams and the seeded stream's permutation are checked bit for bit against
+`numpy.random`, their reference."""
 import numpy as np
 import pytest
 
-from postulate_sim import kernels
+from postulate_sim import algorithms, kernels
 from postulate_sim.cli import MAX_TRIALS
 from postulate_sim.errors import FullRank
 
@@ -175,3 +176,33 @@ def test_trial_streams_property():
         assert _stream_draws(kernels.trial_streams(seed, t + 1)[t]) == _numpy_draws(seed, t)
 
     check()
+
+
+# one 32-bit seed word up to the largest, then two from 2^32 up to 2^64 - 1
+PERMUTATION_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 63, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", PERMUTATION_SEEDS)
+def test_seed_stream_permutation_matches_numpy(seed):
+    """Every swap draws a 32-bit word, the low half of an output first, so the
+    permutations agree only if every draw and every rejection does; the
+    `random()` after each one continues numpy's stream."""
+    for n in range(16):
+        stream, rng = kernels.seed_stream(seed), np.random.default_rng(seed)
+        assert stream.permutation(2 ** n) == rng.permutation(2 ** n).tolist(), n
+        assert _stream_draws(stream) == [rng.random() for _ in range(5)], n
+
+
+def test_seed_stream_folds_to_64_bits():
+    for seed in [-1, -2 ** 63, 2 ** 64 + 12345]:
+        rng = np.random.default_rng(seed & (2 ** 64 - 1))
+        assert kernels.seed_stream(seed).permutation(1000) == rng.permutation(1000).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_balanced_oracle_same_from_either_generator(n):
+    for seed in PERMUTATION_SEEDS[::3]:
+        got = algorithms.balanced_oracle(n, kernels.seed_stream(seed)).table
+        ref = algorithms.balanced_oracle(n, np.random.default_rng(seed)).table
+        np.testing.assert_array_equal(got, ref)
+        assert got.sum() == 2 ** (n - 1)

@@ -664,6 +664,26 @@ class TestOneReadout:
 
         check()
 
+    def test_degenerate_observable_on_the_only_subsystem(self):
+        """With nothing else in the system, subsystem 0 is the whole space, so
+        a degenerate `a` there reads as the whole-space readout does."""
+        psi = random_state(np.random.default_rng(47), 4, (4,))
+        a = Observable(np.diag([0.0, 0.0, 1.0, 2.0]))
+        local, whole = RegisterReadout(psi, 0, a), RegisterReadout(psi, None, a)
+        np.testing.assert_array_equal(local.probabilities, whole.probabilities)
+        assert local.probabilities.size == 3
+        for j in range(3):
+            for mode in (LUEDERS, STRICT):
+                got, ref = local.outcome(j, mode), whole.outcome(j, mode)
+                assert got.projector_rank == ref.projector_rank == (2 if j == 0 else 1)
+                assert got.determined == ref.determined == (mode is LUEDERS or j > 0)
+                for name in ("post_state", "lueders_post_state", "subsystem_post_state"):
+                    g, r = getattr(got, name), getattr(ref, name)
+                    assert (g is None) == (r is None), name
+                    if g is not None:
+                        assert g.dims == r.dims
+                        np.testing.assert_array_equal(g.amplitudes, r.amplitudes)
+
     def test_planted_degenerate_whole_space(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
