@@ -115,9 +115,11 @@ def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> B
     if rng is not None:
         values = rng.permutation(values)
     x = np.arange(2 ** n, dtype=np.int64)
-    # label the cosets {r, r ^ s} in order of first appearance; coset r first
-    # appears at x = r, so that order is np.unique's sorted order
-    return BooleanOracle.simon(n, values[np.unique(np.minimum(x, x ^ s), return_inverse=True)[1]])
+    # label the cosets {r, r ^ s} in order of their minima r: bit `top` of s
+    # is clear in every r, so dropping it numbers the minima 0, 1, 2, ...
+    top = s.bit_length() - 1
+    r = np.minimum(x, x ^ s)
+    return BooleanOracle.simon(n, values[(r >> (top + 1) << top) | (r & ((1 << top) - 1))])
 
 
 # ---------------------------------------------------------------------------

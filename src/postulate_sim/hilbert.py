@@ -28,22 +28,27 @@ def _as_dims(dims) -> tuple[int, ...]:
     return dims
 
 
+def _state_dims(dims, size: int) -> tuple[int, ...]:
+    """Subsystem dimensions of a state of `size` amplitudes, within the cap."""
+    dims = _as_dims(dims)
+    if math.prod(dims) != size:
+        raise DimensionMismatch(
+            f"dims {dims} imply dimension {math.prod(dims)}, got {size} amplitudes"
+        )
+    if size > MAX_DIM:
+        raise DimensionMismatch(f"total dimension {size} exceeds cap {MAX_DIM}")
+    return dims
+
+
 class StateVector:
-    """Normalized pure state over subsystems of the given dimensions."""
+    """Normalized pure state over subsystems of the given dimensions; its
+    amplitudes are a read-only copy of the caller's, which `reshaped` shares."""
 
     __slots__ = ("amplitudes", "dims")
 
     def __init__(self, amplitudes, dims=None):
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if dims is None:
-            dims = (amps.size,)
-        dims = _as_dims(dims)
-        if math.prod(dims) != amps.size:
-            raise DimensionMismatch(
-                f"dims {dims} imply dimension {math.prod(dims)}, got {amps.size} amplitudes"
-            )
-        if amps.size > MAX_DIM:
-            raise DimensionMismatch(f"total dimension {amps.size} exceeds cap {MAX_DIM}")
+        amps = np.array(np.reshape(amplitudes, -1), dtype=np.complex128)
+        dims = _state_dims((amps.size,) if dims is None else dims, amps.size)
         norm = math.sqrt(np.vdot(amps, amps).real)
         # a NaN norm fails every comparison, so test finiteness explicitly
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
@@ -67,8 +72,13 @@ class StateVector:
         return cls(amps, dims)
 
     def reshaped(self, dims) -> "StateVector":
-        """Same amplitudes under a different subsystem grouping."""
-        return StateVector(self.amplitudes, dims)
+        """Same amplitudes under a different subsystem grouping, over the
+        same read-only buffer: no copy and no second norm check."""
+        dims = _state_dims(dims, self.dim)
+        state = object.__new__(StateVector)
+        object.__setattr__(state, "amplitudes", self.amplitudes)
+        object.__setattr__(state, "dims", dims)
+        return state
 
     def overlap(self, other: "StateVector") -> complex:
         if self.dims != other.dims:

@@ -20,18 +20,18 @@ from .errors import FullRank
 def _fwht(table: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 (length 2^n):
     out[z] = sum_x (-1)^popcount(x & z) table[x], by n in-place butterfly
-    passes over a copy."""
-    out = np.array(table, dtype=np.int64)
-    size = out.shape[0]
+    passes. `table` must be a contiguous int64 array; it is overwritten
+    with the result and returned."""
+    size = table.shape[0]
     h = 1
     while h < size:
-        pairs = out.reshape(size // (2 * h), 2, h, *out.shape[1:])
+        pairs = table.reshape(size // (2 * h), 2, h, *table.shape[1:])
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi        # x + y
         hi *= -2
         hi += lo        # x - y
         h *= 2
-    return out
+    return table
 
 
 def dj_argument_amplitudes(f_table: np.ndarray) -> np.ndarray:

@@ -55,7 +55,8 @@ class MeasurementOutcome:
 
     The post-state is built on first read: the `eigenstate` under strict von
     Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
-    the renormalized projection `project()`, or None when that is 0. The
+    the renormalized projection `project()`, or None when that is 0;
+    `project` returns a fresh array, which is divided in place. The
     eigenstate is the measured subsystem's basis vector, or for a whole-space
     observable the eigenvector of a one-dimensional eigenspace (None when the
     eigenspace is degenerate); `subsystem_post_state` reports it.
@@ -84,7 +85,9 @@ class MeasurementOutcome:
             else:
                 projected = self._project()
                 norm = np.linalg.norm(projected)
-                self._state = StateVector(projected / norm, self._dims) if norm > 0 else None
+                if norm > 0:
+                    projected /= norm
+                    self._state = StateVector(projected, self._dims)
             self._project = None
         return self._state
 
@@ -263,7 +266,8 @@ class RegisterReadout(Sampler):
             # keeps the sums below in the order of a plain array
             components = np.conj(np.conj(self._mat).swapaxes(1, 2) @ a.decomposition.vectors)
             self._mat = np.ascontiguousarray(components.swapaxes(1, 2))
-        weights = (np.abs(self._mat) ** 2).sum(axis=(0, 2))
+        weights = np.abs(self._mat)
+        weights = np.square(weights, out=weights).sum(axis=(0, 2))
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:

@@ -9,6 +9,7 @@ from postulate_sim import kernels
 from postulate_sim.errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle
 from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import SemanticsMode, partial_probabilities
+from test_hilbert import traced_peak
 
 LUEDERS = SemanticsMode.LUEDERS
 STRICT = SemanticsMode.STRICT_VON_NEUMANN
@@ -40,6 +41,16 @@ def argument_observable(n):
     return Observable(np.diag(np.arange(2 ** n, dtype=np.float64)), (2 ** n,))
 
 
+def simon_table_by_unique(n, s, rng=None):
+    """Reference Simon table: coset {r, r ^ s} takes the rank of its minimum
+    r among all minima, found by sorting them."""
+    values = np.arange(2 ** n, dtype=np.int64)
+    if rng is not None:
+        values = rng.permutation(values)
+    x = np.arange(2 ** n, dtype=np.int64)
+    return values[np.unique(np.minimum(x, x ^ s), return_inverse=True)[1]]
+
+
 def simon_amplitudes_brute(table):
     size = len(table)
     amps = np.zeros((size, size))
@@ -69,6 +80,14 @@ class TestOracles:
         for x in range(8):
             assert t[x] == t[x ^ 0b101]
         assert len(set(t.tolist())) == 4
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_simon_coset_labels_match_sorted_minima(self, n):
+        for s in range(1, 2 ** n):
+            for rng in (lambda: None, lambda: np.random.default_rng(s)):
+                oracle = alg.simon_oracle(n, s, rng())
+                assert oracle.table.tobytes() == simon_table_by_unique(n, s, rng()).tobytes()
+                assert oracle.hidden_period == s
 
     def test_simon_rejects_not_two_to_one(self):
         with pytest.raises(InvalidOracle):
@@ -219,6 +238,13 @@ class TestSimonState:
             state.amplitudes.real, simon_amplitudes_brute(oracle.table), atol=1e-10
         )
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
+
+    @pytest.mark.parametrize("s", [1, 0b10110011, 0b11111111])
+    def test_readout_at_cap_holds_one_state(self, s):
+        """At n = 8 the state is 2^16 amplitudes, 1 MiB: the kernel's table,
+        the state and the Born weights never hold more than that plus one
+        half-size float temporary."""
+        assert traced_peak(lambda: alg.simon_readout(alg.simon_oracle(8, s))) <= 1.55 * 2 ** 20
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_outcome_support_is_dual_subspace(self, n):

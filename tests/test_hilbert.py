@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from postulate_sim.errors import DimensionMismatch, NotHermitian, PostulateSimError
 from postulate_sim.hilbert import (
+    MAX_DIM,
     Observable,
     StateVector,
     phase_equal,
@@ -54,6 +56,17 @@ def bell_phi_plus():
     return StateVector(np.array([1, 0, 0, 1]) * INV_SQRT2, (2, 2))
 
 
+def traced_peak(fn) -> int:
+    """Bytes `fn()` allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(PostulateSimError):
@@ -77,6 +90,26 @@ class TestStateVector:
     def test_basis(self):
         s = StateVector.basis(2, (2, 2))
         np.testing.assert_array_equal(s.amplitudes, [0, 0, 1, 0])
+
+    def test_copies_a_real_vector_once(self):
+        """At the cap, a real vector becomes one 1 MiB complex buffer, which
+        never aliases the caller's array."""
+        real = np.zeros(MAX_DIM)
+        real[0] = 1.0
+        assert traced_peak(lambda: StateVector(real)) <= 1.01 * 2 ** 20
+        complex_amps = real.astype(np.complex128)
+        assert not np.shares_memory(StateVector(complex_amps).amplitudes, complex_amps)
+
+    def test_reshaped_shares_the_buffer(self):
+        psi = StateVector.basis(5, (MAX_DIM,))
+        split = psi.reshaped((2 ** 8, 2 ** 8))
+        assert split.dims == (256, 256) and np.shares_memory(split.amplitudes, psi.amplitudes)
+        assert not split.amplitudes.flags.writeable
+        # no amplitude buffer: a few hundred bytes of Python objects
+        assert traced_peak(lambda: psi.reshaped((2,) * 16)) < 2 ** 12
+        for dims in [(2 ** 8, 2 ** 7), (2,) * 17, (0, 2 ** 16), ()]:
+            with pytest.raises(DimensionMismatch):
+                psi.reshaped(dims)
 
 
 class TestTensorState:

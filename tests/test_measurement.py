@@ -597,7 +597,8 @@ class TestRegisterReadout:
     def test_outcome_at_cap_stays_small(self, mode):
         """A Simon n = 8 register outcome lives on 2^16 amplitudes (1 MiB per
         state); measuring it and reading every public attribute, the
-        post-states included, stays under 16 MiB."""
+        post-states included, holds at most the projection and the state
+        copied from it: 2 MiB and a little."""
         readout = alg.simon_readout(alg.simon_oracle(8, 0b10110011, np.random.default_rng(0)))
         zero = int(np.flatnonzero(readout.probabilities == 0)[0])
         nonzero = int(np.flatnonzero(readout.probabilities)[-1])
@@ -610,7 +611,7 @@ class TestRegisterReadout:
                 out = readout.measure(mode, rng, force_index=force)
                 read = {name: getattr(out, name) for name in dir(out) if not name.startswith("_")}
                 peak = tracemalloc.get_traced_memory()[1] - start
-                assert peak < 16 * 2 ** 20
+                assert peak < 2.1 * 2 ** 20
                 assert read["projector_rank"] == 256
                 assert read["determined"] == (mode is LUEDERS)
                 assert read["subsystem_post_state"].dims == (256,)
