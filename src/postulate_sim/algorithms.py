@@ -294,8 +294,10 @@ def grover_readout(n: int, marked) -> tuple[RegisterReadout, list[int]]:
     if marked[0] < 0 or marked[-1] >= size:
         raise InvalidMarkedSet(f"marked indices must lie in [0, {size})")
     iters = grover_iterations(n, len(marked))
-    amps = kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters)
-    return RegisterReadout(StateVector(amps, (size,)), 0), marked
+    # no name holds the float kernel array, so it is freed before the readout runs
+    state = StateVector(kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters),
+                        (size,))
+    return RegisterReadout(state, 0), marked
 
 
 def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> GroverResult:

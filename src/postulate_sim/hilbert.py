@@ -47,7 +47,17 @@ class StateVector:
     __slots__ = ("amplitudes", "dims")
 
     def __init__(self, amplitudes, dims=None):
-        amps = np.array(np.reshape(amplitudes, -1), dtype=np.complex128)
+        self._adopt(np.array(np.reshape(amplitudes, -1), dtype=np.complex128), dims)
+
+    @classmethod
+    def _owning(cls, amps: np.ndarray, dims) -> "StateVector":
+        """A state over `amps`, a fresh 1-D complex128 array that no one else
+        holds: it becomes the read-only buffer, uncopied; the norm is checked."""
+        state = object.__new__(cls)
+        state._adopt(amps, dims)
+        return state
+
+    def _adopt(self, amps: np.ndarray, dims):
         dims = _state_dims((amps.size,) if dims is None else dims, amps.size)
         norm = math.sqrt(np.vdot(amps, amps).real)
         # a NaN norm fails every comparison, so test finiteness explicitly
@@ -134,6 +144,7 @@ class Observable:
         self.matrix = mat
         self.dims = dims
         self._decomposition: SpectralDecomposition | None = None
+        self._readout = None  # (state, subsystem, RegisterReadout) of the last one-shot call
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,9 @@ projects onto the eigenspace of the outcome and reads the rank of that
 projector: the multiplicity times the dimension of the rest of the system.
 A readout is prepared once per state: its Born vector is computed once, and
 every draw reuses one running sum (`Sampler`), whose `measure` builds the
-outcome of a drawn index.
+outcome of a drawn index. The one-shot functions (`measure`,
+`partial_measure` and the Born probabilities) reuse the last readout that
+the observable built while they are given the same state and subsystem.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateLocalObservable, DimensionMismatch, IndexOutOfRange
-from .hilbert import Observable, StateVector, phase_normalize
+from .hilbert import Observable, SpectralDecomposition, StateVector, phase_normalize
 
 
 class SemanticsMode(enum.Enum):
@@ -56,7 +58,8 @@ class MeasurementOutcome:
     The post-state is built on first read: the `eigenstate` under strict von
     Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
     the renormalized projection `project()`, or None when that is 0;
-    `project` returns a fresh array, which is divided in place. The
+    `project` returns a fresh array, which is divided in place and becomes
+    the state's buffer uncopied, as does the phase-normalized eigenstate. The
     eigenstate is the measured subsystem's basis vector, or for a whole-space
     observable the eigenvector of a one-dimensional eigenspace (None when the
     eigenspace is degenerate); `subsystem_post_state` reports it.
@@ -81,13 +84,13 @@ class MeasurementOutcome:
         # `_project` is dropped once the state is built
         if self._project is not None:
             if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
-                self._state = StateVector(phase_normalize(self._eigenstate), self._dims)
+                self._state = StateVector._owning(phase_normalize(self._eigenstate), self._dims)
             else:
                 projected = self._project()
                 norm = np.linalg.norm(projected)
                 if norm > 0:
                     projected /= norm
-                    self._state = StateVector(projected, self._dims)
+                    self._state = StateVector._owning(projected, self._dims)
             self._project = None
         return self._state
 
@@ -130,7 +133,7 @@ class RefinementObservable:
 
 def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> float:
     """Probability of the eigenvalue at the given index: |P_i psi|^2."""
-    probabilities = RegisterReadout(psi, None, a).probabilities
+    probabilities = _readout(a, psi, None).probabilities
     if not 0 <= eigenvalue_index < probabilities.size:
         raise IndexOutOfRange(
             f"eigenvalue index {eigenvalue_index} out of range [0, {probabilities.size})"
@@ -139,7 +142,18 @@ def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> 
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
-    return RegisterReadout(psi, None, a).probabilities
+    return _readout(a, psi, None).probabilities
+
+
+def _readout(a: Observable, psi: StateVector, subsystem: Optional[int]) -> "RegisterReadout":
+    """The readout of `psi` in the eigenbasis of `a`, shared by the one-shot
+    calls: `a` holds the last one it built and reuses it for the same state
+    object and subsystem. A state is immutable and the slot keeps it alive,
+    so identity is a sound key; another state or subsystem replaces it."""
+    last = a._readout
+    if last is None or last[0] is not psi or last[1] != subsystem:
+        last = a._readout = (psi, subsystem, RegisterReadout(psi, subsystem, a))
+    return last[2]
 
 
 class Sampler:
@@ -189,15 +203,30 @@ def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random
     `force_index` selects an eigenvalue deterministically (must have nonzero
     probability); used for exhaustive branch coverage in tests and protocols.
     """
-    return RegisterReadout(psi, None, a).measure(mode, rng, force_index)
+    return _readout(a, psi, None).measure(mode, rng, force_index)
 
 
 def lift(a: Observable, subsystem: int, dims) -> Observable:
-    """Embed a local observable as I x ... x a x ... x I on the composite space."""
+    """Embed a local observable as I x ... x a x ... x I on the composite space.
+
+    `.matrix` is the dense Kronecker product. The decomposition is built from
+    `a`'s, with no eigensolver, since the eigenvectors of a Kronecker product
+    are the products of its factors' (Horn and Johnson, Topics in Matrix
+    Analysis, 1991, sec. 4.2): the local eigenvalues, each with its local
+    multiplicity times the dimension of the rest of the system, over the
+    orthonormal columns |b> x v_j x |c> in j-major order, so each eigenspace
+    is one contiguous column slice. The degeneracy of the lift is therefore
+    exact, whatever DEGEN_TOL.
+    """
     dims = tuple(int(d) for d in dims)
     before, after = _split(dims, subsystem, a)
-    mat = np.kron(np.kron(np.eye(before), a.matrix), np.eye(after))
-    return Observable(mat, dims)
+    lifted = Observable(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims)
+    dec = a.decomposition
+    vectors = np.einsum("bB,ij,cC->bicjBC", np.eye(before), dec.vectors, np.eye(after))
+    lifted._decomposition = SpectralDecomposition(
+        dec.eigenvalues, vectors.reshape(lifted.dim, lifted.dim),
+        [m * before * after for m in dec.multiplicities])
+    return lifted
 
 
 def _split(dims, subsystem: int, a: Optional[Observable] = None) -> tuple[int, int]:
@@ -212,7 +241,7 @@ def _split(dims, subsystem: int, a: Optional[Observable] = None) -> tuple[int, i
 
 def partial_probabilities(a: Observable, subsystem: int, psi: StateVector) -> np.ndarray:
     """Born probabilities of a local measurement: |(E_j x I) psi|^2 per eigenvalue."""
-    return RegisterReadout(psi, subsystem, a).probabilities
+    return _readout(a, psi, subsystem).probabilities
 
 
 def partial_measure(
@@ -225,7 +254,7 @@ def partial_measure(
 ) -> MeasurementOutcome:
     """Measure a locally nondegenerate observable on one subsystem: the
     `RegisterReadout` of that subsystem in the eigenbasis of `a`."""
-    return RegisterReadout(psi, subsystem, a).measure(mode, rng, force_index)
+    return _readout(a, psi, subsystem).measure(mode, rng, force_index)
 
 
 class RegisterReadout(Sampler):
@@ -269,6 +298,8 @@ class RegisterReadout(Sampler):
         weights = np.abs(self._mat)
         weights = np.square(weights, out=weights).sum(axis=(0, 2))
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
+        # the one-shot calls hand out this vector from a shared readout
+        self.probabilities.flags.writeable = False
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
         dec = self.decomposition
@@ -288,14 +319,15 @@ class RegisterReadout(Sampler):
 def build_refinement(a: Observable) -> RefinementObservable:
     """Construct a nondegenerate compatible C and the map f with f(C) = A.
 
-    The eigenbasis is re-orthonormalized defensively by one QR factorization,
-    which keeps the span of every leading set of columns and so every
-    eigenspace; the refined observable assigns the plain labels 0..N-1 across
-    that basis in column order.
+    The refined observable assigns the plain labels 0..N-1 to the columns of
+    A's eigenvector matrix in order, so they ascend with A's eigenvalue. Those
+    columns are orthonormal by construction (the output of `eigh`, identity
+    columns for a diagonal A, or the Kronecker columns of `lift`), so they
+    are used as they are, with no QR. `refined.decomposition` comes from its
+    own `eigh` on first read, which checks C independently.
     """
     dec = a.decomposition
-    q = np.linalg.qr(dec.vectors)[0]
-    mat = (q * np.arange(a.dim)) @ q.conj().T
+    mat = (dec.vectors * np.arange(a.dim)) @ dec.vectors.conj().T
     # symmetrize in place: every (dim, dim) temporary adds to the peak memory
     mat += mat.conj().T
     mat /= 2

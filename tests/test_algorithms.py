@@ -392,6 +392,14 @@ class TestGrover:
         with pytest.raises(InvalidMarkedSet):
             alg.grover(2, [4], LUEDERS, np.random.default_rng(0))
 
+    def test_readout_at_cap_holds_one_state(self):
+        """At n = 16 the state is 2^16 amplitudes, 1 MiB: the kernel's
+        half-size float array is freed before the readout runs, so the peak
+        is the state plus the Born weights and their sum, two half-size
+        float arrays (2.50 MiB while the kernel's array stayed alive)."""
+        alg.grover_readout(4, [3])  # first-call allocations are not the run's
+        assert traced_peak(lambda: alg.grover_readout(16, [3])) <= 2.05 * 2 ** 20
+
     def test_mode_independent(self):
         for seed in range(10):
             a = alg.grover(3, [2, 5], LUEDERS, np.random.default_rng(seed))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
+from postulate_sim import hilbert
 from postulate_sim.errors import (
     DegenerateLocalObservable,
     DimensionMismatch,
@@ -220,7 +221,59 @@ class TestMeasure:
         assert amp.real > 0
 
 
+def lift_cases():
+    """(local observable, subsystem, dims) for every layout the tests lift,
+    with planted spectra, degenerate ones included, where the local
+    observable is random."""
+    rng = np.random.default_rng(59)
+    return [
+        (SIGMA3, 0, (2, 2)), (SIGMA3, 1, (2, 2)), (SIGMA3, 0, (2,)),
+        (Observable(np.diag([0.0, 1.0, 2.0])), 1, (2, 3, 2)),
+        (Observable(np.diag([2.0, 0.0, 2.0])), 2, (2, 2, 3)),
+        (planted_observable(rng, (1, 1, 1, 1))[0], 1, (2, 4)),
+        (planted_observable(rng, (1, 1, 1))[0], 1, (2, 3, 2)),
+        (planted_observable(rng, (2, 1, 1))[0], 0, (4, 16)),
+        (planted_observable(rng, (1, 3, 2, 2))[0], 1, (3, 8, 2)),
+        (bell_basis_observable(), 0, (4, 2)),
+    ]
+
+
 class TestLift:
+    @pytest.mark.parametrize("local,subsystem,dims", lift_cases())
+    def test_multiplicities_are_local_times_rest(self, local, subsystem, dims):
+        dec, rest = lift(local, subsystem, dims).decomposition, int(np.prod(dims)) // local.dim
+        assert dec.multiplicities == tuple(m * rest for m in local.decomposition.multiplicities)
+        np.testing.assert_array_equal(dec.eigenvalues, local.decomposition.eigenvalues)
+
+    @pytest.mark.parametrize("local,subsystem,dims", lift_cases())
+    def test_eigenspaces_match_dense_eigh(self, local, subsystem, dims):
+        """Each eigenspace projector V_i V_i^dag of the structured decomposition
+        is the one that `eigh` of the dense Kronecker product spans."""
+        lifted = lift(local, subsystem, dims)
+        dec = lifted.decomposition
+        values, vectors = np.linalg.eigh(lifted.matrix)
+        for ev, block in zip(dec.eigenvalues, dec.blocks):
+            cols = vectors[:, np.abs(values - ev) < 1e-8]
+            assert cols.shape[1] == block.shape[1]
+            np.testing.assert_allclose(block @ block.conj().T, cols @ cols.conj().T, atol=1e-12)
+        np.testing.assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(lifted.dim),
+                                   atol=1e-12)
+        np.testing.assert_allclose((dec.vectors * np.repeat(dec.eigenvalues, dec.multiplicities))
+                                   @ dec.vectors.conj().T, lifted.matrix, atol=1e-12)
+
+    def test_strict_verdict_needs_no_merged_eigenvalues(self, monkeypatch):
+        """With no eigenvalue merging, a lifted outcome is still degenerate:
+        its rank is the local multiplicity times the rest dimension."""
+        monkeypatch.setattr(hilbert, "DEGEN_TOL", 0.0)
+        rng = np.random.default_rng(61)
+        lifted = lift(planted_observable(rng, (1, 1, 1))[0], 1, (2, 3, 2))
+        assert lifted.decomposition.multiplicities == (4, 4, 4)
+        psi = random_state(rng, 12, (2, 3, 2))
+        for idx in range(3):
+            out = measure(lifted, psi, STRICT, None, force_index=idx)
+            assert not out.determined and out.post_state is None
+            assert out.projector_rank == 4
+
     def test_subsystem_zero(self):
         np.testing.assert_allclose(lift(SIGMA3, 0, (2, 2)).matrix, np.diag([1, 1, -1, -1]))
 
@@ -304,6 +357,30 @@ class TestPartialMeasure:
 
 
 class TestBuildRefinement:
+    def test_no_qr(self, monkeypatch):
+        """Every decomposition's columns are orthonormal as built, so the
+        refinement takes them as they are."""
+        rng = np.random.default_rng(71)
+        observables = [planted_observable(rng, (3, 1, 2))[0],
+                       lift(planted_observable(rng, (2, 1, 1))[0], 0, (4, 2)),
+                       Observable(np.diag([2.0, 0.0, 1.0, 0.0]))]
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+        for a in observables:
+            np.testing.assert_allclose(build_refinement(a).apply_map(), a.matrix, atol=1e-9)
+        assert calls == []
+
+    def test_refined_decomposition_is_eighs(self, monkeypatch):
+        """C's decomposition is not handed over from A's: its first read runs
+        `eigh` on C, so it checks the refinement independently."""
+        ref = build_refinement(planted_observable(np.random.default_rng(73), (2, 2, 1))[0])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        assert not ref.refined.decomposition.degenerate
+        assert calls == [(5, 5)]
+
     def test_lifted_sigma3(self):
         a = tensor_op(SIGMA3, IDENTITY2)
         ref = build_refinement(a)
@@ -597,8 +674,8 @@ class TestRegisterReadout:
     def test_outcome_at_cap_stays_small(self, mode):
         """A Simon n = 8 register outcome lives on 2^16 amplitudes (1 MiB per
         state); measuring it and reading every public attribute, the
-        post-states included, holds at most the projection and the state
-        copied from it: 2 MiB and a little."""
+        post-states included, holds at most the projection, which becomes
+        the post-state's buffer uncopied: 1 MiB and a little."""
         readout = alg.simon_readout(alg.simon_oracle(8, 0b10110011, np.random.default_rng(0)))
         zero = int(np.flatnonzero(readout.probabilities == 0)[0])
         nonzero = int(np.flatnonzero(readout.probabilities)[-1])
@@ -611,7 +688,7 @@ class TestRegisterReadout:
                 out = readout.measure(mode, rng, force_index=force)
                 read = {name: getattr(out, name) for name in dir(out) if not name.startswith("_")}
                 peak = tracemalloc.get_traced_memory()[1] - start
-                assert peak < 2.1 * 2 ** 20
+                assert peak < 1.1 * 2 ** 20
                 assert read["projector_rank"] == 256
                 assert read["determined"] == (mode is LUEDERS)
                 assert read["subsystem_post_state"].dims == (256,)
@@ -653,7 +730,10 @@ class TestOneReadout:
             psi = random_state(rng, int(np.prod(dims)), dims)
             a = random_hermitian(rng, dims[k])
             hypothesis.assume(np.min(np.diff(a.decomposition.eigenvalues), initial=1.0) > 1e-6)
-            local, whole = RegisterReadout(psi, k, a), RegisterReadout(psi, None, lift(a, k, dims))
+            lifted = lift(a, k, dims)
+            assert lifted.decomposition.multiplicities == \
+                tuple(m * (psi.dim // dims[k]) for m in a.decomposition.multiplicities)
+            local, whole = RegisterReadout(psi, k, a), RegisterReadout(psi, None, lifted)
             np.testing.assert_allclose(local.probabilities, whole.probabilities, atol=1e-12)
             for j in range(dims[k]):
                 for mode in (LUEDERS, STRICT):
@@ -711,3 +791,81 @@ class TestOneReadout:
                                    lueders.post_state.amplitudes)) > 1 - 1e-10
 
         check()
+
+
+class TestOneShotReadout:
+    """`measure`, `partial_measure` and the Born probabilities reuse the last
+    readout that the observable built, for the same state object and
+    subsystem, and build a new one otherwise."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(state, subsystem) of every RegisterReadout constructed."""
+        built = []
+        init = RegisterReadout.__init__
+
+        def counting(self, psi, subsystem, a=None):
+            built.append((psi, subsystem))
+            init(self, psi, subsystem, a)
+
+        monkeypatch.setattr(RegisterReadout, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("kind", ["whole", "lifted", "local"])
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_repeated_measures_share_one_readout(self, built, kind, mode):
+        rng = np.random.default_rng(67)
+        psi = random_state(rng, 16, (4, 4))
+        local = planted_observable(rng, (1, 1, 1, 1))[0]
+        a, subsystem = {"whole": (planted_observable(rng, (2, 1, 3, 2, 1, 4, 3))[0], None),
+                        "lifted": (lift(local, 1, (4, 4)), None),
+                        "local": (local, 1)}[kind]
+
+        def one_shot(rng):
+            if subsystem is None:
+                return measure(a, psi, mode, rng)
+            return partial_measure(a, subsystem, psi, mode, rng)
+
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = [one_shot(got_rng) for _ in range(50)]
+        assert built == [(psi, subsystem)]
+        ref = [RegisterReadout(psi, subsystem, a).measure(mode, ref_rng) for _ in range(50)]
+        assert len(built) == 51
+        assert len({out.eigenvalue for out in got}) > 1
+        for g, r in zip(got, ref):
+            assert g.eigenvalue == r.eigenvalue
+            assert g.probability == r.probability
+            assert g.determined == r.determined
+            assert g.projector_rank == r.projector_rank
+            assert_same_state(g.post_state, r.post_state)
+            assert_same_state(g.lueders_post_state, r.lueders_post_state)
+
+    def test_born_calls_share_the_readout(self, built):
+        rng = np.random.default_rng(79)
+        psi = random_state(rng, 8, (2, 4))
+        a, b = random_hermitian(rng, 8), planted_observable(rng, (1, 1, 1, 1))[0]
+        probabilities = born_probabilities(a, psi)
+        assert born_probability(a, 2, psi) == probabilities[2]
+        measure(a, psi, LUEDERS, None, force_index=int(np.argmax(probabilities)))
+        assert born_probabilities(a, psi) is probabilities
+        assert not probabilities.flags.writeable
+        partial = partial_probabilities(b, 1, psi)
+        partial_measure(b, 1, psi, STRICT, rng)
+        assert built == [(psi, None), (psi, 1)]
+        np.testing.assert_array_equal(partial, RegisterReadout(psi, 1, b).probabilities)
+
+    def test_new_state_or_subsystem_rebuilds(self, built):
+        rng = np.random.default_rng(83)
+        psi, other = random_state(rng, 8, (2, 2, 2)), random_state(rng, 8, (2, 2, 2))
+        twin = psi.reshaped(psi.dims)  # the same amplitudes in another state object
+        a = planted_observable(rng, (1, 1))[0]
+        calls = [(psi, 0), (psi, 0), (psi, 1), (psi, 1), (psi, 0), (twin, 0), (twin, 0),
+                 (other, 0), (other, 2), (psi, 2)]
+        rebuilt = []
+        for state, subsystem in calls:
+            count = len(built)
+            probabilities = partial_probabilities(a, subsystem, state)
+            rebuilt.append(len(built) > count)
+            np.testing.assert_array_equal(probabilities,
+                                          RegisterReadout(state, subsystem, a).probabilities)
+        assert rebuilt == [True, False, True, False, True, True, False, True, True, True]
