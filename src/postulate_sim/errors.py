@@ -17,8 +17,8 @@ class IndexOutOfRange(PostulateSimError):
     """Subsystem or eigenvalue index outside the valid range."""
 
 
-class DegenerateLocalObservable(PostulateSimError):
-    """Partial measurement requires a locally nondegenerate observable."""
+class UnresolvedDegeneracy(PostulateSimError):
+    """Eigenvalues chain within the merge tolerance but span more than it."""
 
 
 class InvalidOracle(PostulateSimError):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, PostulateSimError
+from .errors import DimensionMismatch, NotHermitian, PostulateSimError, UnresolvedDegeneracy
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -102,8 +102,8 @@ class StateVector:
 class SpectralDecomposition:
     """Distinct sorted eigenvalues over one orthonormal eigenvector matrix.
 
-    Eigenvalues closer than DEGEN_TOL are merged (mean value, combined
-    eigenspace). The columns of `vectors` are grouped by eigenvalue:
+    Eigenvalues are merged as `spectral_decompose` decides (mean value,
+    combined eigenspace). The columns of `vectors` are grouped by eigenvalue:
     `labels[j]` is the eigenspace index of column j, and `blocks[i]` is the
     column slice spanning eigenspace i (a view, not a copy). A readout
     projects through these columns; no dense projector is ever formed.
@@ -173,6 +173,13 @@ def tensor_op(a: Observable, b: Observable) -> Observable:
 def spectral_decompose(a: Observable) -> SpectralDecomposition:
     """Eigendecomposition with near-degenerate eigenvalues merged.
 
+    Degeneracy does not depend on units: consecutive sorted eigenvalues merge
+    when their gap is at most `DEGEN_TOL * max|eigenvalue|`, well above the
+    rounding of a backward-stable `eigh` (about dim * eps * |A|). A merged
+    group wider than that tolerance is no one eigenvalue, so it raises
+    `UnresolvedDegeneracy` rather than letting chained gaps pick a verdict.
+    A zero tolerance merges only exact ties, and a negative one nothing.
+
     A diagonal matrix short-circuits the dense eigensolver: its eigenvalues
     are the diagonal and its eigenvectors are basis vectors.
     """
@@ -185,9 +192,17 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
     else:
         values, vectors = np.linalg.eigh(mat)
 
-    groups = np.split(values, np.flatnonzero(np.diff(values) > DEGEN_TOL) + 1)
-    return SpectralDecomposition([np.mean(g) for g in groups], np.ascontiguousarray(vectors),
-                                 [g.size for g in groups])
+    tol = DEGEN_TOL * float(np.max(np.abs(values)))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    counts = np.diff(starts, append=values.size)
+    spans = values[starts + counts - 1] - values[starts]
+    widest = int(np.argmax(spans))
+    if spans[widest] > max(tol, 0.0):
+        raise UnresolvedDegeneracy(
+            f"{counts[widest]} eigenvalues chain within the merge tolerance {tol!r} "
+            f"but span a width of {float(spans[widest])!r}")
+    return SpectralDecomposition(np.add.reduceat(values, starts) / counts,
+                                 np.ascontiguousarray(vectors), counts.tolist())
 
 
 def phase_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

@@ -4,14 +4,15 @@ Two collapse rules are implemented side by side:
 
 * Lueders: the post-state is the renormalized projection of the input onto
   the outcome eigenspace, degenerate or not.
-* Strict von Neumann: a nondegenerate outcome collapses to the eigenvector;
-  a degenerate outcome leaves the post-state undetermined (the outcome still
-  carries the rank of its eigenspace, and the Lueders state as a diagnostic,
-  so the two semantics can be contrasted in reports).
+* Strict von Neumann: an outcome whose eigenspace on the whole space has
+  rank 1 collapses to the eigenvector; any higher rank leaves the post-state
+  undetermined (the outcome still carries the rank of its eigenspace, and
+  the Lueders state as a diagnostic, so the two semantics can be contrasted
+  in reports).
 
 Every measurement is one readout, `RegisterReadout`: an observable on the
-whole space (`measure`, `born_probabilities`), a nondegenerate local
-observable on one subsystem (`partial_measure`), or one subsystem's
+whole space (`measure`, `born_probabilities`), a local observable on one
+subsystem, degenerate or not (`partial_measure`), or one subsystem's
 computational basis, read without building the diagonal observable. It
 projects onto the eigenspace of the outcome and reads the rank of that
 projector: the multiplicity times the dimension of the rest of the system.
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateLocalObservable, DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange
 from .hilbert import Observable, SpectralDecomposition, StateVector, phase_normalize
 
 
@@ -252,8 +253,8 @@ def partial_measure(
     rng: np.random.Generator,
     force_index: Optional[int] = None,
 ) -> MeasurementOutcome:
-    """Measure a locally nondegenerate observable on one subsystem: the
-    `RegisterReadout` of that subsystem in the eigenbasis of `a`."""
+    """Measure a local observable on one subsystem: the `RegisterReadout` of
+    that subsystem in the eigenbasis of `a`."""
     return _readout(a, psi, subsystem).measure(mode, rng, force_index)
 
 
@@ -270,9 +271,7 @@ class RegisterReadout(Sampler):
     eigenspace; its projector rank is the multiplicity times the dimension of
     the rest of the system. Strict von Neumann therefore determines a
     post-state only on a one-dimensional eigenspace of the whole space; the
-    drawn index does not depend on the mode. A degenerate `a` is rejected
-    when the rest of the system is more than one-dimensional: measure its
-    lift instead.
+    drawn index does not depend on the mode.
     """
 
     def __init__(self, psi: StateVector, subsystem: Optional[int],
@@ -288,15 +287,14 @@ class RegisterReadout(Sampler):
         self.decomposition = None if a is None else a.decomposition
         self._mat = psi.amplitudes.reshape(before, measured, after)
         if a is not None:
-            if before * after > 1 and a.decomposition.degenerate:
-                raise DegenerateLocalObservable("local observable is degenerate on its own "
-                                                "subsystem; measure the lifted operator instead")
             # V^dag psi as conj(psi^dag V), one matrix product; the contiguous copy
             # keeps the sums below in the order of a plain array
             components = np.conj(np.conj(self._mat).swapaxes(1, 2) @ a.decomposition.vectors)
             self._mat = np.ascontiguousarray(components.swapaxes(1, 2))
         weights = np.abs(self._mat)
-        weights = np.square(weights, out=weights).sum(axis=(0, 2))
+        np.square(weights, out=weights)
+        # over the whole register the weights are the Born vector: no second array
+        weights = weights.reshape(-1) if before * after == 1 else weights.sum(axis=(0, 2))
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
         # the one-shot calls hand out this vector from a shared readout
         self.probabilities.flags.writeable = False

@@ -4,8 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from postulate_sim.errors import DimensionMismatch, NotHermitian, PostulateSimError
+from postulate_sim.errors import (
+    DimensionMismatch,
+    NotHermitian,
+    PostulateSimError,
+    UnresolvedDegeneracy,
+)
 from postulate_sim.hilbert import (
+    DEGEN_TOL,
     MAX_DIM,
     Observable,
     StateVector,
@@ -259,6 +265,55 @@ class TestSpectralDecompose:
                 for j in range(i):
                     np.testing.assert_allclose(p @ projs[j], 0, atol=1e-9)
             assert list(dec.eigenvalues) == sorted(dec.eigenvalues)
+
+
+def scaled_spectra():
+    """(matrix, dims, multiplicities): sigma_z, the dense lifted Bell
+    observable B x I on (4, 2), and a unitarily conjugated diag(0, 0, 1, 1)."""
+    from postulate_sim.protocols import bell_basis_observable
+    return [
+        (SIGMA3.matrix, (2,), (1, 1)),
+        (np.kron(bell_basis_observable().matrix, np.eye(2)), (4, 2), (2, 2, 2, 2)),
+        (planted_observable(np.random.default_rng(5), (2, 2))[0].matrix, (4,), (2, 2)),
+    ]
+
+
+class TestDegeneracyTolerance:
+    """Degeneracy is a property of the spectrum, not of its units: the merge
+    tolerance scales with max|eigenvalue|, and a cluster that only chained
+    gaps hold together is refused."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("case", range(3))
+    def test_multiplicities_do_not_depend_on_units(self, scale, case):
+        matrix, dims, mults = scaled_spectra()[case]
+        hermitian = scale * (matrix + matrix.conj().T) / 2
+        assert spectral_decompose(Observable(hermitian, dims)).multiplicities == mults
+
+    def test_chained_cluster_raises(self):
+        values = 1.0 + np.arange(200) * 0.9e-9
+        with pytest.raises(UnresolvedDegeneracy) as info:
+            spectral_decompose(Observable(np.diag(values)))
+        message = str(info.value)
+        assert "200 eigenvalues" in message
+        assert repr(DEGEN_TOL * float(values[-1])) in message
+        assert repr(float(values[-1] - values[0])) in message
+
+    def test_same_gaps_from_zero_split(self):
+        values = np.arange(200) * 0.9e-9
+        dec = spectral_decompose(Observable(np.diag(values)))
+        assert dec.multiplicities == (1,) * 200
+        np.testing.assert_array_equal(dec.eigenvalues, values)
+
+    def test_merged_eigenvalue_is_the_group_mean(self):
+        values = np.array([-2.0, 3.0, 3.0 + 1e-9, 3.0 + 2e-9, 5.0])
+        dec = spectral_decompose(Observable(np.diag(values)))
+        assert dec.multiplicities == (1, 3, 1)
+        np.testing.assert_allclose(dec.eigenvalues, [-2.0, 3.0 + 1e-9, 5.0], rtol=1e-15)
+
+    def test_zero_matrix_is_one_eigenspace(self):
+        # max|eigenvalue| = 0 makes the tolerance 0, which still merges exact ties
+        assert spectral_decompose(Observable(np.zeros((3, 3)))).multiplicities == (3,)
 
 
 class TestObservable:

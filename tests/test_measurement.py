@@ -5,11 +5,7 @@ import pytest
 
 from postulate_sim import algorithms as alg
 from postulate_sim import hilbert
-from postulate_sim.errors import (
-    DegenerateLocalObservable,
-    DimensionMismatch,
-    IndexOutOfRange,
-)
+from postulate_sim.errors import DimensionMismatch, IndexOutOfRange
 from postulate_sim.hilbert import Observable, StateVector, phase_equal, tensor_op, tensor_state
 from postulate_sim.measurement import (
     RegisterReadout,
@@ -309,11 +305,24 @@ class TestPartialMeasure:
         assert out.probability == pytest.approx(1.0, abs=1e-12)
         assert phase_equal(out.post_state, psi, 1e-10)
 
-    def test_rejects_locally_degenerate(self):
+    def test_locally_degenerate_reads_as_its_lift(self):
+        """sigma_z x I on the first factor of (4, 2) is degenerate on its own
+        subsystem: each outcome has rank 2 x 2 = 4 on the whole space, so
+        strict von Neumann leaves it undetermined, as for the lift."""
         psi = random_state(np.random.default_rng(0), 8, (4, 2))
         degenerate = tensor_op(SIGMA3, IDENTITY2)
-        with pytest.raises(DegenerateLocalObservable):
-            partial_measure(degenerate, 0, psi, LUEDERS, np.random.default_rng(0))
+        lifted = lift(degenerate, 0, (4, 2))
+        np.testing.assert_allclose(partial_probabilities(degenerate, 0, psi),
+                                   born_probabilities(lifted, psi), atol=1e-12)
+        for idx in range(2):
+            strict = partial_measure(degenerate, 0, psi, STRICT, None, force_index=idx)
+            lueders = partial_measure(degenerate, 0, psi, LUEDERS, None, force_index=idx)
+            ref = measure(lifted, psi, LUEDERS, None, force_index=idx)
+            assert strict.projector_rank == lueders.projector_rank == ref.projector_rank == 4
+            assert not strict.determined and strict.post_state is None
+            assert strict.subsystem_post_state is None
+            assert phase_equal(strict.lueders_post_state, ref.post_state, 1e-12)
+            assert phase_equal(lueders.post_state, ref.post_state, 1e-12)
 
     def test_strict_mode_reports_subsystem_state_only(self):
         psi = bell_state(BellKind.PHI_PLUS)
@@ -541,8 +550,12 @@ class TestSampleIndex:
 
     def test_local_observable_checked_at_construction(self):
         psi = random_state(np.random.default_rng(23), 8, (2, 4))
-        with pytest.raises(DegenerateLocalObservable):
-            RegisterReadout(psi, 1, Observable(np.diag([0.0, 0.0, 1.0, 2.0])))
+        degenerate = Observable(np.diag([0.0, 0.0, 1.0, 2.0]))
+        local = RegisterReadout(psi, 1, degenerate)
+        whole = RegisterReadout(psi, None, lift(degenerate, 1, (2, 4)))
+        np.testing.assert_allclose(local.probabilities, whole.probabilities, atol=1e-12)
+        assert [local.outcome(j, STRICT).projector_rank for j in range(3)] == [4, 2, 2]
+        assert not any(local.outcome(j, STRICT).determined for j in range(3))
         with pytest.raises(DimensionMismatch):
             RegisterReadout(psi, 1, SIGMA3)
         with pytest.raises(IndexOutOfRange):
@@ -717,31 +730,38 @@ class TestOneReadout:
     of its lift, and a whole-space readout sums each degenerate eigenspace."""
 
     def test_local_readout_is_its_lift(self):
+        """Any local `a`, degenerate or not, on any factor: its multiplicities
+        are planted, and the other factors may be one-dimensional."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        factor_dims = st.lists(st.integers(2, 8), min_size=2, max_size=3).filter(
-            lambda dims: int(np.prod(dims)) <= 64)
+        planted_mults = st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(
+            lambda mults: 2 <= sum(mults) <= 6)
+        other_dims = st.lists(st.integers(1, 4), max_size=3)
 
         @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
-        @hypothesis.given(factor_dims, st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
-        def check(dims, k, seed):
-            k %= len(dims)
+        @hypothesis.given(planted_mults, other_dims, st.integers(0, 3),
+                          st.integers(0, 2 ** 32 - 1))
+        def check(mults, others, k, seed):
+            k %= len(others) + 1
+            dims = (*others[:k], sum(mults), *others[k:])
             rng = np.random.default_rng(seed)
             psi = random_state(rng, int(np.prod(dims)), dims)
-            a = random_hermitian(rng, dims[k])
-            hypothesis.assume(np.min(np.diff(a.decomposition.eigenvalues), initial=1.0) > 1e-6)
+            a = planted_observable(rng, mults)[0]
+            rest = psi.dim // dims[k]
             lifted = lift(a, k, dims)
-            assert lifted.decomposition.multiplicities == \
-                tuple(m * (psi.dim // dims[k]) for m in a.decomposition.multiplicities)
+            assert a.decomposition.multiplicities == tuple(mults)
+            assert lifted.decomposition.multiplicities == tuple(m * rest for m in mults)
             local, whole = RegisterReadout(psi, k, a), RegisterReadout(psi, None, lifted)
             np.testing.assert_allclose(local.probabilities, whole.probabilities, atol=1e-12)
-            for j in range(dims[k]):
+            for j, m in enumerate(mults):
                 for mode in (LUEDERS, STRICT):
                     got, ref = local.outcome(j, mode), whole.outcome(j, mode)
-                    assert got.projector_rank == ref.projector_rank == psi.dim // dims[k]
-                    assert got.determined == ref.determined
-                lueders, ref = local.outcome(j, LUEDERS), whole.outcome(j, LUEDERS)
-                assert phase_equal(lueders.post_state, ref.post_state, 1e-10)
+                    assert got.projector_rank == ref.projector_rank == m * rest
+                    assert got.determined == ref.determined == (mode is LUEDERS or m * rest == 1)
+                    # the post-state where determined, else the Lueders diagnostic
+                    got_state = got.post_state or got.lueders_post_state
+                    ref_state = ref.post_state or ref.lueders_post_state
+                    assert phase_equal(got_state, ref_state, 1e-10)
 
         check()
 

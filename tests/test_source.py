@@ -95,3 +95,27 @@ def test_no_unread_private_parameters():
     found = {path.name: unread_private_parameters(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_errors(errors_source: str, other_sources: list[str]) -> list[str]:
+    """Exception classes that `errors_source` defines and no other module
+    names: an error that nothing raises or catches is dead API."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    named = {node.id for source in other_sources for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name)}
+    return [name for name in defined if name not in named]
+
+
+def test_unreferenced_errors_detected():
+    errors = ("class BaseError(Exception): pass\nclass Raised(BaseError): pass\n"
+              "class Caught(BaseError): pass\nclass Dead(BaseError): pass\n")
+    others = ["from .errors import Raised\nraise Raised('x')\n",
+              "try:\n    pass\nexcept (Caught, BaseError):\n    pass\n"]
+    assert unreferenced_errors(errors, others) == ["Dead"]
+
+
+def test_every_error_is_referenced():
+    others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "errors.py"]
+    assert unreferenced_errors((PACKAGE / "errors.py").read_text(), others) == []
