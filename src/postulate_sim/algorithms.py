@@ -187,8 +187,11 @@ def dj_final_state(oracle: BooleanOracle) -> StateVector:
     if oracle.kind != "dj":
         raise InvalidOracle("dj_final_state expects a DJ oracle")
     arg = kernels.dj_argument_amplitudes(oracle.table)
-    ancilla = np.array([_INV_SQRT2, -_INV_SQRT2])
-    return StateVector(np.kron(arg, ancilla), (2,) * (oracle.n + 1))
+    # the two ancilla columns written straight into the state's one buffer
+    amps = np.empty(2 * arg.size, dtype=np.complex128)
+    np.multiply(arg, _INV_SQRT2, out=amps[0::2])
+    np.multiply(arg, -_INV_SQRT2, out=amps[1::2])
+    return StateVector._owning(amps, (2,) * (oracle.n + 1))
 
 
 @dataclass

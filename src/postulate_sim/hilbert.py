@@ -116,10 +116,6 @@ class SpectralDecomposition:
         self.blocks = np.split(vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
         self.labels = np.repeat(np.arange(len(self.multiplicities)), self.multiplicities)
 
-    @property
-    def degenerate(self) -> bool:
-        return max(self.multiplicities) > 1
-
 
 class Observable:
     """Hermitian operator over a composite space, with cached decomposition."""
@@ -138,7 +134,8 @@ class Observable:
         # NaN fails every comparison, so test finiteness before any arithmetic
         if not np.isfinite(mat).all():
             raise PostulateSimError("observable has non-finite entries")
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
+        defect = mat.conj().T
+        herm_defect = np.max(np.abs(np.subtract(mat, defect, out=defect)))
         if herm_defect > HERM_TOL:
             raise NotHermitian(f"max |M - M^dag| = {herm_defect!r} exceeds {HERM_TOL}")
         self.matrix = mat

@@ -325,9 +325,17 @@ def build_refinement(a: Observable) -> RefinementObservable:
     own `eigh` on first read, which checks C independently.
     """
     dec = a.decomposition
-    mat = (dec.vectors * np.arange(a.dim)) @ dec.vectors.conj().T
-    # symmetrize in place: every (dim, dim) temporary adds to the peak memory
-    mat += mat.conj().T
+    # one (dim, dim) temporary beyond C. The product is formed conjugated,
+    # conj(M) = conj(V) diag(k) V^T for M = V diag(k) V^dag, so the scaled
+    # factor is the only copy of V, and its buffer then takes M^dag. Conjugation
+    # commutes with every rounding, so C is bit for bit (M + M^dag) / 2.
+    adjoint = np.conjugate(dec.vectors)
+    adjoint *= np.arange(a.dim)
+    mat = adjoint @ dec.vectors.T
+    np.copyto(adjoint, mat.T)
+    np.conjugate(mat, out=mat)
+    mat += adjoint
+    del adjoint
     mat /= 2
     value_map = dict(enumerate(np.repeat(dec.eigenvalues, dec.multiplicities).tolist()))
     return RefinementObservable(Observable(mat, a.dims), value_map)
