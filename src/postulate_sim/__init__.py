@@ -4,21 +4,12 @@ Contrasts strict von Neumann projection (degenerate spectra leave the
 post-state undetermined) with Lueders projection, across teleportation and
 the Deutsch-Jozsa / Simon / Grover algorithms.
 """
-from .hilbert import (
-    Observable,
-    SpectralDecomposition,
-    StateVector,
-    phase_equal,
-    spectral_decompose,
-    tensor_op,
-    tensor_state,
-)
+from .hilbert import Observable, SpectralDecomposition, StateVector, spectral_decompose
 from .measurement import (
     MeasurementOutcome,
     RefinementObservable,
     RegisterReadout,
     SemanticsMode,
-    born_probability,
     build_refinement,
     lift,
     measure,
@@ -32,15 +23,11 @@ __all__ = [
     "Observable",
     "SpectralDecomposition",
     "StateVector",
-    "phase_equal",
     "spectral_decompose",
-    "tensor_op",
-    "tensor_state",
     "MeasurementOutcome",
     "RefinementObservable",
     "RegisterReadout",
     "SemanticsMode",
-    "born_probability",
     "build_refinement",
     "lift",
     "measure",

@@ -231,7 +231,6 @@ def simon_final_state(oracle: BooleanOracle) -> StateVector:
 class SimonResult:
     period: int
     samples: list
-    sample_count: int
 
 
 def simon_readout(oracle: BooleanOracle) -> RegisterReadout:
@@ -264,11 +263,7 @@ def simon_period(readout: RegisterReadout, n: int, rng: np.random.Generator,
         raise RankDeficient(
             f"rank {len(rows)} < {n - 1} after {max_samples} samples; retry with more"
         )
-    return SimonResult(
-        period=kernels.gf2_null_vector(rows, n),
-        samples=samples,
-        sample_count=len(samples),
-    )
+    return SimonResult(period=kernels.gf2_null_vector(rows, n), samples=samples)
 
 
 # ---------------------------------------------------------------------------

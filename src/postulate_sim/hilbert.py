@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, NotHermitian, PostulateSimError, Unresolv
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 DEGEN_TOL = 1e-9
+# an amplitude at or below this modulus cannot fix a global phase
+PHASE_CUTOFF = 1e-12
 # Simon at n=8 lives on 2n = 16 qubits, so the dense cap sits at 2^16
 MAX_DIM = 2 ** 16
 
@@ -74,13 +76,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @classmethod
-    def basis(cls, index: int, dims) -> "StateVector":
-        dims = _as_dims(dims)
-        amps = np.zeros(math.prod(dims), dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(amps, dims)
-
     def reshaped(self, dims) -> "StateVector":
         """Same amplitudes under a different subsystem grouping, over the
         same read-only buffer: no copy and no second norm check."""
@@ -137,7 +132,7 @@ class Observable:
         defect = mat.conj().T
         herm_defect = np.max(np.abs(np.subtract(mat, defect, out=defect)))
         if herm_defect > HERM_TOL:
-            raise NotHermitian(f"max |M - M^dag| = {herm_defect!r} exceeds {HERM_TOL}")
+            raise NotHermitian(f"max |M - M^dag| = {float(herm_defect)!r} exceeds {HERM_TOL}")
         self.matrix = mat
         self.dims = dims
         self._decomposition: SpectralDecomposition | None = None
@@ -155,16 +150,6 @@ class Observable:
 
     def __repr__(self):
         return f"Observable(dim={self.dim}, dims={self.dims})"
-
-
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states; subsystem dims concatenate."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
-
-
-def tensor_op(a: Observable, b: Observable) -> Observable:
-    """Kronecker product of two Hermitian operators."""
-    return Observable(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def spectral_decompose(a: Observable) -> SpectralDecomposition:
@@ -202,15 +187,10 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
                                  np.ascontiguousarray(vectors), counts.tolist())
 
 
-def phase_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """True iff the states coincide up to a global phase: |<a|b>| >= 1 - tol."""
-    return abs(a.overlap(b)) >= 1.0 - tol
-
-
-def phase_normalize(amplitudes: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible amplitude is positive real."""
+def phase_normalize(amplitudes: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first amplitude above `PHASE_CUTOFF` is positive real."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    above = np.flatnonzero(np.abs(amps) > cutoff)
+    above = np.flatnonzero(np.abs(amps) > PHASE_CUTOFF)
     if above.size == 0:
         return amps.copy()
     c = amps[above[0]]

@@ -124,23 +124,6 @@ class RefinementObservable:
         self.refined = refined
         self.value_map = dict(value_map)
 
-    def apply_map(self) -> np.ndarray:
-        """Assemble f(C) from C's spectral decomposition."""
-        dec = self.refined.decomposition
-        f = np.repeat([self.value_map[int(round(ev))] for ev in dec.eigenvalues],
-                      dec.multiplicities)
-        return (dec.vectors * f) @ dec.vectors.conj().T
-
-
-def born_probability(a: Observable, eigenvalue_index: int, psi: StateVector) -> float:
-    """Probability of the eigenvalue at the given index: |P_i psi|^2."""
-    probabilities = _readout(a, psi, None).probabilities
-    if not 0 <= eigenvalue_index < probabilities.size:
-        raise IndexOutOfRange(
-            f"eigenvalue index {eigenvalue_index} out of range [0, {probabilities.size})"
-        )
-    return float(probabilities[eigenvalue_index])
-
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
     return _readout(a, psi, None).probabilities

@@ -11,13 +11,7 @@ import pytest
 
 from postulate_sim import algorithms as alg
 from postulate_sim import cli
-from postulate_sim.hilbert import (
-    Observable,
-    StateVector,
-    phase_equal,
-    tensor_op,
-    tensor_state,
-)
+from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import (
     SemanticsMode,
     born_probabilities,
@@ -32,6 +26,8 @@ from postulate_sim.protocols import (
     teleport,
 )
 from test_algorithms import argument_observable
+from test_hilbert import phase_equal, tensor_op, tensor_state
+from test_measurement import apply_map
 from test_protocols import lifted_bell_observable
 
 LUEDERS = SemanticsMode.LUEDERS
@@ -186,7 +182,7 @@ def test_criterion_07_refinement_soundness():
         assert max(ref.refined.decomposition.multiplicities) == 1
         comm = base.matrix @ ref.refined.matrix - ref.refined.matrix @ base.matrix
         assert np.max(np.abs(comm)) < 1e-9
-        np.testing.assert_allclose(ref.apply_map(), base.matrix, atol=1e-9)
+        np.testing.assert_allclose(apply_map(ref), base.matrix, atol=1e-9)
     print("PASS criterion 7: refinement observable nondegenerate, commuting, f(C)=A (100 operators)")
 
 

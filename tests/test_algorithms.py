@@ -9,7 +9,7 @@ from postulate_sim import kernels
 from postulate_sim.errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle
 from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import SemanticsMode, partial_probabilities
-from test_hilbert import traced_peak
+from test_hilbert import tensor_op, traced_peak
 
 LUEDERS = SemanticsMode.LUEDERS
 STRICT = SemanticsMode.STRICT_VON_NEUMANN
@@ -151,7 +151,6 @@ class TestArgumentObservable:
         np.testing.assert_allclose(dec.eigenvalues, np.arange(8))
 
     def test_lifted_degenerate(self):
-        from postulate_sim.hilbert import tensor_op
         lifted = tensor_op(argument_observable(2), Observable(np.eye(2)))
         assert lifted.decomposition.multiplicities == (2, 2, 2, 2)
 

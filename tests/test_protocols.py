@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import hilbert, protocols
-from postulate_sim.hilbert import StateVector, phase_equal, tensor_state
+from postulate_sim.hilbert import StateVector
 from postulate_sim.measurement import (
     SemanticsMode,
     born_probabilities,
@@ -20,6 +20,7 @@ from postulate_sim.protocols import (
     Teleportation,
     teleport,
 )
+from test_hilbert import phase_equal, tensor_state
 
 INV_SQRT2 = 1 / np.sqrt(2)
 LUEDERS = SemanticsMode.LUEDERS

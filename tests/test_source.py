@@ -1,6 +1,10 @@
 """Static checks on the package source."""
 import ast
+import inspect
+import types
 from pathlib import Path
+
+import postulate_sim
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "postulate_sim"
 
@@ -119,3 +123,26 @@ def test_every_error_is_referenced():
     others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "errors.py"]
     assert unreferenced_errors((PACKAGE / "errors.py").read_text(), others) == []
+
+
+def export_drift(module) -> tuple[list[str], list[str]]:
+    """Names in `module.__all__` that the module does not bind, and public
+    names it binds, submodules apart, that `__all__` leaves out."""
+    bound = vars(module)
+    listed = list(bound.get("__all__", ()))
+    unresolved = [name for name in listed if name not in bound]
+    unlisted = [name for name, value in bound.items()
+                if not name.startswith("_") and not inspect.ismodule(value) and name not in listed]
+    return unresolved, unlisted
+
+
+def test_export_drift_detected():
+    module = types.ModuleType("synthetic")
+    exec("import os\n__all__ = ['kept', 'gone', '__version__']\n__version__ = '0'\n"
+         "kept = 1\nextra = 2\n_private = 3\ndef helper(): pass\n", vars(module))
+    assert export_drift(module) == (["gone"], ["extra", "helper"])
+
+
+def test_all_matches_the_package_namespace():
+    """`__all__` lists exactly the public names the package binds."""
+    assert export_drift(postulate_sim) == ([], [])
