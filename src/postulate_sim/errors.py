@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and process exit codes shared across the package."""
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_BLOCKED = 2  # teleportation under strict von Neumann semantics
 
 
 class PostulateSimError(Exception):

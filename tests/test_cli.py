@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
-from postulate_sim import cli, kernels, protocols
+from postulate_sim import cli, commands, kernels, protocols
 
 
 TESTS = Path(__file__).resolve().parent
@@ -465,13 +465,13 @@ class TestErrors:
     def test_memory_error_exit_1(self, capsys, monkeypatch):
         def exhausted(args):
             raise MemoryError("Unable to allocate 8.00 TiB")
-        monkeypatch.setitem(cli._RUNNERS, "grover", exhausted)
+        monkeypatch.setitem(commands.RUNNERS, "grover", exhausted)
         code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
         assert (code, out) == (1, "")
         assert "out of memory" in err
 
     def test_non_finite_report_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._RUNNERS, "grover", lambda args: ({"x": float("nan")}, 0))
+        monkeypatch.setitem(commands.RUNNERS, "grover", lambda args: ({"x": float("nan")}, 0))
         code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
         assert (code, out) == (1, "")
         assert err.startswith("postulate-sim: error: ")
@@ -479,7 +479,7 @@ class TestErrors:
     def test_non_finite_outcome_entry_exit_1(self, capsys, monkeypatch):
         shared = {"found": 1, "hit": True}
         outcomes = [shared, {"found": 2, "hit": float("nan")}, shared]
-        monkeypatch.setitem(cli._RUNNERS, "grover", lambda args: ({"outcomes": outcomes}, 0))
+        monkeypatch.setitem(commands.RUNNERS, "grover", lambda args: ({"outcomes": outcomes}, 0))
         code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
         assert (code, out) == (1, "")
         assert err.startswith("postulate-sim: error: ") and len(err.splitlines()) == 1
@@ -504,6 +504,56 @@ def test_trial_streams_skip_numpy_random(argv, imported):
         "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)", *argv)
     assert code == 0 and (out.startswith("postulate-sim ") if "text" in argv else json.loads(out))
     assert err == f"{imported}\n"
+
+
+# prints, at interpreter exit, which of numpy and the engine's base module loaded
+ENGINE_PROBE = ("import atexit; atexit.register(lambda: print(sorted(m for m in "
+                "('numpy', 'postulate_sim.hilbert') if m in sys.modules), file=sys.stderr)); ")
+
+
+@pytest.mark.parametrize("argv,code,head", [
+    (("--version",), 0, "postulate-sim 0.1.0\n"),
+    (("--help",), 0, "usage: postulate-sim [-h] [--version]"),
+    (("teleport", "--help"), 0, "usage: postulate-sim teleport [-h]"),
+    (("teleport", "--trials", "0"), 1, "postulate-sim: error: --trials must be >= 1"),
+    (("teleport", "--trials", "100001"), 1, "postulate-sim: error: --trials must be <= 100000"),
+    (("teleport", "--alpha", "x"), 1,
+     "postulate-sim teleport: error: argument --alpha: expected 're,im', got 'x'"),
+    (("measure", "--observable", "q"), 1, "postulate-sim measure: error: argument --observable: "),
+    ((), 1, "postulate-sim: error: the following arguments are required: command"),
+], ids=lambda v: "_".join(v) or "none" if isinstance(v, tuple) else None)
+def test_usage_paths_skip_the_engine(capsys, monkeypatch, argv, code, head):
+    """`--version`, help and usage errors end before numpy or the engine loads,
+    with the same exit code and output as in-process: the text on stdout, or
+    the usage and then a one-line error on stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    expected = capsys.readouterr()
+    got = run_limited(ENGINE_PROBE + "from postulate_sim.cli import main; sys.exit(main())", *argv)
+    assert got[:3] == (exc.value.code, expected.out, expected.err + "[]\n")
+    if code == 0:
+        assert (exc.value.code, expected.err) == (0, "") and expected.out.startswith(head)
+    else:
+        lines = expected.err.splitlines()
+        assert (exc.value.code, expected.out) == (1, "") and lines[0].startswith("usage: ")
+        assert lines[-1].startswith(head) and sum(": error: " in line for line in lines) == 1
+
+
+def test_observable_choices_are_the_paulis():
+    """The parser lists its `--observable` choices literally, so numpy stays
+    unloaded; they must name exactly the runner's Pauli matrices."""
+    measure = cli.build_parser()._subparsers._group_actions[0].choices["measure"]
+    action = next(a for a in measure._actions if a.dest == "observable")
+    assert action.choices == sorted(commands._PAULIS)
+
+
+def test_package_exports_load_on_first_read():
+    code, out, err, _ = run_limited(
+        "import postulate_sim; print('numpy' in sys.modules); "
+        "cls = postulate_sim.Observable; from postulate_sim import hilbert; "
+        "print('numpy' in sys.modules, cls is hilbert.Observable)")
+    assert (code, out, err) == (0, "False\nTrue True\n", "")
 
 
 def test_grover_at_dimension_cap():

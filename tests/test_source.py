@@ -46,9 +46,7 @@ def test_unused_imports_detected():
 
 
 def test_no_unused_imports():
-    """`__init__.py` is exempt: its imports are the package's public names."""
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -62,7 +60,7 @@ def test_unread_private_names_detected():
 def test_no_unread_private_names():
     """A private helper that its own module never reads is dead code."""
     found = {path.name: unread_private_names(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -126,12 +124,12 @@ def test_every_error_is_referenced():
 
 
 def export_drift(module) -> tuple[list[str], list[str]]:
-    """Names in `module.__all__` that the module does not bind, and public
-    names it binds, submodules apart, that `__all__` leaves out."""
-    bound = vars(module)
-    listed = list(bound.get("__all__", ()))
-    unresolved = [name for name in listed if name not in bound]
-    unlisted = [name for name, value in bound.items()
+    """Names in `module.__all__` that do not resolve on the module, bound or
+    through its `__getattr__`, and public names it binds, submodules apart,
+    that `__all__` leaves out."""
+    listed = list(getattr(module, "__all__", ()))
+    unresolved = [name for name in listed if not hasattr(module, name)]
+    unlisted = [name for name, value in vars(module).items()
                 if not name.startswith("_") and not inspect.ismodule(value) and name not in listed]
     return unresolved, unlisted
 
@@ -141,6 +139,14 @@ def test_export_drift_detected():
     exec("import os\n__all__ = ['kept', 'gone', '__version__']\n__version__ = '0'\n"
          "kept = 1\nextra = 2\n_private = 3\ndef helper(): pass\n", vars(module))
     assert export_drift(module) == (["gone"], ["extra", "helper"])
+    # a listed name may resolve through a module `__getattr__` (PEP 562)
+    lazy = types.ModuleType("lazy")
+    exec("__all__ = ['lazy', 'gone']\n"
+         "def __getattr__(name):\n"
+         "    if name == 'lazy':\n"
+         "        return 1\n"
+         "    raise AttributeError(name)\n", vars(lazy))
+    assert export_drift(lazy) == (["gone"], [])
 
 
 def test_all_matches_the_package_namespace():
