@@ -223,8 +223,9 @@ def simon_final_state(oracle: BooleanOracle) -> StateVector:
     """Output state over argument x function registers (n bits each)."""
     if oracle.kind != "simon":
         raise InvalidOracle("simon_final_state expects a Simon oracle")
+    # the kernel's array becomes the state's buffer uncopied
     amps = kernels.simon_state_amplitudes(oracle.table)
-    return StateVector(amps, (2,) * (2 * oracle.n))
+    return StateVector._owning(amps, (2,) * (2 * oracle.n))
 
 
 @dataclass

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -167,7 +168,17 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"postulate-sim: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # on devnull, the interpreter's own flush at exit cannot fail again
+        # (Python docs, `signal`, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"postulate-sim: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -129,10 +129,13 @@ class Observable:
         # NaN fails every comparison, so test finiteness before any arithmetic
         if not np.isfinite(mat).all():
             raise PostulateSimError("observable has non-finite entries")
+        # relative to the largest entry, whose moduli are freed before the defect's
+        # buffer is taken (Higham, Accuracy and Stability..., 2002, ch. 1)
+        tol = HERM_TOL * float(np.max(np.abs(mat)))
         defect = mat.conj().T
         herm_defect = np.max(np.abs(np.subtract(mat, defect, out=defect)))
-        if herm_defect > HERM_TOL:
-            raise NotHermitian(f"max |M - M^dag| = {float(herm_defect)!r} exceeds {HERM_TOL}")
+        if herm_defect > tol:
+            raise NotHermitian(f"max |M - M^dag| = {float(herm_defect)!r} exceeds {tol!r}")
         self.matrix = mat
         self.dims = dims
         self._decomposition: SpectralDecomposition | None = None

@@ -3,7 +3,8 @@
 The Deutsch-Jozsa and Simon amplitudes are Walsh-Hadamard transforms of
 integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
 Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
-sign matrix. Every sum is an exact integer before the final division by 2^n.
+sign matrix. Every sum is an exact integer before the final division by 2^n,
+in int64 or, below 2^53, in float64.
 Simon's classical step, the GF(2) nullspace of the sampled constraints, works
 on rows bit-packed into Python ints. The CLI's random streams are numpy's,
 rebuilt bit for bit without `numpy.random`: the SeedSequence hash in uint32
@@ -20,8 +21,9 @@ from .errors import FullRank
 def _fwht(table: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 (length 2^n):
     out[z] = sum_x (-1)^popcount(x & z) table[x], by n in-place butterfly
-    passes. `table` must be a contiguous int64 array; it is overwritten
-    with the result and returned."""
+    passes. `table` is an int64 or float64 array, or a strided view of one
+    such as the real part of a complex array; it is overwritten with the
+    result and returned."""
     size = table.shape[0]
     h = 1
     while h < size:
@@ -42,11 +44,15 @@ def dj_argument_amplitudes(f_table: np.ndarray) -> np.ndarray:
 
 def simon_state_amplitudes(f_table: np.ndarray) -> np.ndarray:
     """Simon output amplitudes on (argument x function) registers, flattened:
-    amp[j, v] = 2^-n * sum_{k : f(k) = v} (-1)^popcount(j & k)."""
+    amp[j, v] = 2^-n * sum_{k : f(k) = v} (-1)^popcount(j & k), transformed
+    and divided in place in the real part of the complex128 result."""
     size = len(f_table)
-    one_hot = np.zeros((size, size), dtype=np.int64)
-    one_hot[np.arange(size), f_table] = 1
-    return _fwht(one_hot).reshape(-1) / size
+    amps = np.zeros((size, size), dtype=np.complex128)
+    table = amps.real
+    table[np.arange(size), f_table] = 1
+    _fwht(table)
+    table /= size
+    return amps.reshape(-1)
 
 
 def grover_amplitudes(n: int, marked: np.ndarray, iterations: int) -> np.ndarray:

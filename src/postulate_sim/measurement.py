@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .hilbert import Observable, SpectralDecomposition, StateVector, phase_normalize
+from .hilbert import MAX_DIM, Observable, SpectralDecomposition, StateVector, phase_normalize
 
 
 class SemanticsMode(enum.Enum):
@@ -204,6 +204,9 @@ def lift(a: Observable, subsystem: int, dims) -> Observable:
     """
     dims = tuple(int(d) for d in dims)
     before, after = _split(dims, subsystem, a)
+    # checked before the identities of the rest are allocated
+    if before * a.dim * after > MAX_DIM:
+        raise DimensionMismatch(f"total dimension {before * a.dim * after} exceeds cap {MAX_DIM}")
     lifted = Observable(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims)
     dec = a.decomposition
     vectors = np.einsum("bB,ij,cC->bicjBC", np.eye(before), dec.vectors, np.eye(after))
@@ -241,6 +244,30 @@ def partial_measure(
     return _readout(a, psi, subsystem).measure(mode, rng, force_index)
 
 
+# the most squared weights `_rest_sums` holds at once, unless one level has more
+_BLOCK = 2 ** 12
+
+
+def _rest_sums(mat: np.ndarray) -> np.ndarray:
+    """`(np.abs(mat) ** 2).sum(axis=(0, 2))` of a (before, measured > 1, after)
+    array, in numpy's order to the last bit (each mat[b, m] summed alone, the
+    rows b added in turn), squared in blocks of whole rows, of levels of one
+    row, or of one level."""
+    before, measured, after = mat.shape
+    born = np.zeros(measured)
+    rows = max(1, _BLOCK // (measured * after))
+    levels = max(1, _BLOCK // after)
+    for b in range(0, before, rows):
+        for m in range(0, measured, levels):
+            weights = np.abs(mat[b:b + rows, m:m + levels])
+            np.square(weights, out=weights)
+            sums = weights.sum(axis=2)
+            del weights
+            sums[0] += born[m:m + levels]
+            sums.sum(axis=0, out=born[m:m + levels])
+    return born
+
+
 class RegisterReadout(Sampler):
     """Readout of one subsystem, or of the whole space when `subsystem` is
     None, in the eigenbasis of `a`, prepared once.
@@ -274,10 +301,12 @@ class RegisterReadout(Sampler):
             # keeps the sums below in the order of a plain array
             components = np.conj(np.conj(self._mat).swapaxes(1, 2) @ a.decomposition.vectors)
             self._mat = np.ascontiguousarray(components.swapaxes(1, 2))
-        weights = np.abs(self._mat)
-        np.square(weights, out=weights)
-        # over the whole register the weights are the Born vector: no second array
-        weights = weights.reshape(-1) if before * after == 1 else weights.sum(axis=(0, 2))
+        if before * after == 1:
+            # over the whole register the squared weights are the Born vector
+            weights = np.abs(self._mat.reshape(-1))
+            np.square(weights, out=weights)
+        else:
+            weights = _rest_sums(self._mat)
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
         # the one-shot calls hand out this vector from a shared readout
         self.probabilities.flags.writeable = False

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -57,16 +58,18 @@ def run_cli_process(*argv, timeout=60.0):
                        timeout=timeout)
 
 
-def run_limited(code, *argv, timeout=60.0):
+def run_limited(code, *argv, timeout=60.0, stdout=None):
     """Run Python `code` with `argv` in a child under RLIMIT_AS, with the
-    package and this directory importable; return as `run_cli_process`."""
+    package and this directory importable; return as `run_cli_process`. An
+    open file `stdout` takes the child's stdout, and the stdout returned is
+    then empty."""
     code = ("import resource, sys; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT})); " + code)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
-                                stdin=subprocess.DEVNULL, stdout=out, stderr=err)
+                                stdin=subprocess.DEVNULL, stdout=stdout or out, stderr=err)
         timer = threading.Timer(timeout, proc.kill)
         timer.start()
         try:
@@ -483,6 +486,22 @@ class TestErrors:
         code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
         assert (code, out) == (1, "")
         assert err.startswith("postulate-sim: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--trials", "5"),
+    ("teleport", "--trials", "500", "--format", "text"),
+], ids=lambda v: "_".join(v))
+def test_failed_write_is_one_line_error(argv):
+    """A report that cannot be written, on a stdout that is full, ends in a
+    one-line error and exit 1: no traceback, and no second failure from the
+    interpreter's own flush at exit."""
+    with open("/dev/full", "wb") as full:
+        code, out, err, _ = run_limited(
+            "from postulate_sim.cli import main; sys.exit(main())", *argv, stdout=full)
+    assert (code, out) == (1, "")
+    assert err == f"postulate-sim: error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
 
 
 @pytest.mark.parametrize("argv,imported", [

@@ -14,6 +14,7 @@ from postulate_sim.errors import (
 )
 from postulate_sim.hilbert import (
     DEGEN_TOL,
+    HERM_TOL,
     MAX_DIM,
     Observable,
     StateVector,
@@ -336,6 +337,31 @@ class TestDegeneracyTolerance:
         assert spectral_decompose(Observable(np.zeros((3, 3)))).multiplicities == (3,)
 
 
+class TestHermiticityTolerance:
+    """Hermiticity is a property of the matrix, not of its units: the defect
+    max|M - M^dag| is compared with HERM_TOL times the largest entry."""
+
+    SCALES = [10.0 ** e for e in range(-12, 13, 2)]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_unsymmetrized_spectrum_accepted_at_every_scale(self, scale):
+        rng = np.random.default_rng(64)
+        u = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))[0]
+        # 16 eigenvalues of multiplicity 4, with the rounding defect left in
+        m = scale * ((u * np.repeat(np.arange(16.0), 4)) @ u.conj().T)
+        defect = np.max(np.abs(m - m.conj().T))
+        assert defect > 0 and (scale < 1e6 or defect > HERM_TOL)
+        assert spectral_decompose(Observable(m)).multiplicities == (4,) * 16
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_non_hermitian_rejected_at_every_scale(self, scale):
+        message = f"max |M - M^dag| = {scale!r} exceeds {HERM_TOL * scale!r}"
+        with pytest.raises(NotHermitian, match=re.escape(message)):
+            Observable(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian):
+            Observable(scale * np.array([[1.0, 1e-6], [0.0, 2.0]]))
+
+
 class TestObservable:
     @pytest.mark.parametrize("matrix", [
         [[np.nan, 0], [0, 1]],
@@ -353,9 +379,10 @@ class TestObservable:
 
 
     def test_hermiticity_check_takes_one_buffer(self):
-        """At dim 256 the matrix is 1 MiB. The defect M - M^dag is formed in
-        the buffer of M^dag, so the check adds 1 MiB and the 0.5 MiB of its
-        moduli (2.13 MiB with the difference in a buffer of its own)."""
+        """At dim 256 the matrix is 1 MiB. The moduli of M, read for the
+        scale, are freed before the defect M - M^dag is formed in the buffer
+        of M^dag, so the check adds 1 MiB and the 0.5 MiB of its moduli (2.13
+        MiB with the difference in a buffer of its own)."""
         m = random_hermitian(np.random.default_rng(9), 256).matrix
         Observable(m)
         assert traced_peak(lambda: Observable(m)) < 1.6 * 2 ** 20

@@ -85,7 +85,9 @@ def test_dj_amplitudes_paths_agree(n):
 def test_simon_amplitudes_paths_agree(n):
     rng = np.random.default_rng(n + 10)
     for table in [_simon_table(n, rng) for _ in range(3)] + [rng.integers(0, 2 ** n, 2 ** n)]:
-        np.testing.assert_array_equal(kernels.simon_state_amplitudes(table), _simon_dense(table))
+        amps = kernels.simon_state_amplitudes(table)
+        assert amps.dtype == np.complex128
+        np.testing.assert_array_equal(amps, _simon_dense(table))
 
 
 @pytest.mark.parametrize("n,marked,iters", [(2, [3], 1), (4, [0, 7], 2), (6, [13], 6)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from postulate_sim import algorithms as alg
-from postulate_sim import hilbert
+from postulate_sim import hilbert, measurement
 from postulate_sim.errors import DimensionMismatch, IndexOutOfRange
 from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import (
@@ -20,6 +20,7 @@ from postulate_sim.measurement import (
 )
 from postulate_sim.protocols import BellKind, bell_basis_observable, bell_state
 from test_algorithms import argument_observable
+from test_cli import run_limited
 from test_hilbert import phase_equal, planted_observable, tensor_op, tensor_state, traced_peak
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -294,6 +295,18 @@ class TestLift:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lift(SIGMA3, 0, (4, 2))
+
+    def test_cap_checked_before_allocation(self):
+        """17 qubits exceed the 2^16 cap: `lift` refuses them before it builds
+        the 2^16-dim identity of the rest (32 GiB), which the child's
+        address-space limit would end in a MemoryError."""
+        code, out, err, _ = run_limited(
+            "from postulate_sim.errors import DimensionMismatch\n"
+            "from postulate_sim.hilbert import Observable\n"
+            "from postulate_sim.measurement import lift\n"
+            "try:\n    lift(Observable([[1, 0], [0, -1]]), 0, (2,) * 17)\n"
+            "except DimensionMismatch as exc:\n    print(exc)\n")
+        assert (code, out, err) == (0, "total dimension 131072 exceeds cap 65536\n", "")
 
 
 class TestPartialMeasure:
@@ -598,6 +611,10 @@ REGISTER_LAYOUTS = [
     ((16, 2), 0), ((2, 16, 2), 1), ((2, 16), 1),
 ]
 
+# layouts of more weights than a block of `_rest_sums` holds: rows of several
+# blocks, blocks of many rows, and levels longer than a block
+BLOCKED_LAYOUTS = [((4, 64, 128), 1), ((2 ** 10, 8, 8), 1), ((2, 2, 2 ** 14), 1)]
+
 
 def assert_same_state(a, b):
     if a is None or b is None:
@@ -635,6 +652,18 @@ class TestRegisterReadout:
             np.testing.assert_array_equal(
                 projector, lifted_block_projector(dense, int(got.eigenvalue), dims, subsystem))
             assert np.trace(projector).real == got.projector_rank
+
+    @pytest.mark.parametrize("dims,subsystem", REGISTER_LAYOUTS + BLOCKED_LAYOUTS)
+    def test_blocked_weights_are_numpy_sums(self, dims, subsystem):
+        """The Born weights, squared in blocks, are numpy's sum over the rest
+        of the system to the last bit."""
+        dim = int(np.prod(dims))
+        psi = random_state(np.random.default_rng(len(dims) + subsystem), dim, dims)
+        if (dims, subsystem) in BLOCKED_LAYOUTS:
+            assert dim > 2 * measurement._BLOCK
+        mat = psi.amplitudes.reshape(int(np.prod(dims[:subsystem])), dims[subsystem], -1)
+        expected = (np.abs(mat) ** 2).sum(axis=(0, 2))
+        assert RegisterReadout(psi, subsystem).probabilities.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
