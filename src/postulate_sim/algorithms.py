@@ -2,14 +2,22 @@
 
 Deutsch-Jozsa and Simon are implemented from their final superposition
 states (the preceding gate sequence is irrelevant to the measurement
-analysis); Grover runs the standard phase-flip/diffusion iteration. Every
-final readout is the computational-basis readout of the argument register
-(`RegisterReadout`), which is nondegenerate on the register it measures, so
-every algorithm behaves identically under both collapse semantics.
+analysis); Grover runs the standard phase-flip/diffusion iteration. Each
+algorithm prepares one computational-basis readout of its argument register
+(`RegisterReadout`: `dj_readout`, `simon_readout`, `grover_readout`), and a
+trial draws from it. The DJ and Simon registers have a rest (the ancilla,
+the function register), so on the whole space their outcome projectors
+have rank 2 and 2^n, and strict von Neumann leaves the post-state
+undetermined, as it does teleport's (Grover's register is the whole space,
+so its projectors have rank 1). Unlike teleport, which needs Bob's
+post-state, an algorithm reads only the drawn value, and a draw is the same
+under both collapse semantics.
 """
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, InvalidMarkedSet, InvalidOracle, RankDeficient
 from .hilbert import MAX_DIM, StateVector
-from .measurement import RegisterReadout, SemanticsMode
+from .measurement import RegisterReadout
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _MAX_QUBITS = MAX_DIM.bit_length() - 1
@@ -43,11 +51,11 @@ class BooleanOracle:
     f(x) = f(y) iff y = x ^ s for a nonzero hidden period s.
     """
 
-    def __init__(self, n: int, table, kind: str, hidden_period: Optional[int] = None):
+    def __init__(self, n: int, table, kind: str):
         self.n = int(n)
         self.table = np.asarray(table, dtype=np.int64)
         self.kind = kind
-        self.hidden_period = hidden_period
+        self.hidden_period: Optional[int] = None  # set by `BooleanOracle.simon`
         if self.table.shape != (2 ** self.n,):
             raise InvalidOracle(
                 f"expected {2 ** self.n} table entries for n={self.n}, got {self.table.shape}"
@@ -125,6 +133,10 @@ def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> B
 # ---------------------------------------------------------------------------
 # Oracle truth-table files: one line per input, "inputbits outputbits".
 
+# a valid line holds at most 15 + 1 (DJ) or 8 + 8 (Simon) digits and whitespace
+_MAX_LINE = 80
+
+
 def parse_bits(text: str) -> int:
     """A bit string of 0s and 1s as an int; unlike `int(text, 2)`, no sign,
     `0b` prefix, `_` or surrounding whitespace."""
@@ -141,12 +153,22 @@ def save_oracle(oracle: BooleanOracle, path) -> None:
 
 
 def load_oracle(path, kind: str) -> BooleanOracle:
+    """Read a truth-table file. Only a regular file is read, and a line,
+    comments included, holds at most `_MAX_LINE` characters, so a FIFO, a
+    device or a line that never ends is an error, not a wait."""
     if kind not in ("dj", "simon"):
         raise InvalidOracle(f"unknown oracle kind {kind!r}")
     entries = {}
     n = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+    # O_NONBLOCK: a FIFO with no writer opens at once instead of blocking,
+    # and is then rejected with every other file that is not regular
+    with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise InvalidOracle(f"{path}: not a regular file")
+        for lineno, line in enumerate(iter(lambda: fh.readline(_MAX_LINE + 1), ""), 1):
+            if len(line.rstrip("\n")) > _MAX_LINE:
+                raise InvalidOracle(f"{path}:{lineno}: line longer than {_MAX_LINE} characters, "
+                                    f"starting {line[:16]!r}")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -194,26 +216,9 @@ def dj_final_state(oracle: BooleanOracle) -> StateVector:
     return StateVector._owning(amps, (2,) * (oracle.n + 1))
 
 
-@dataclass
-class DJResult:
-    verdict: str  # "constant" | "balanced"
-    sampled_z: int
-    zero_probability: float
-
-
 def dj_readout(oracle: BooleanOracle) -> RegisterReadout:
     """Argument-register readout of the final state; draws give z."""
     return RegisterReadout(dj_final_state(oracle).reshaped((2 ** oracle.n, 2)), 0)
-
-
-def deutsch_jozsa(oracle: BooleanOracle, mode: SemanticsMode, rng: np.random.Generator) -> DJResult:
-    readout = dj_readout(oracle)
-    z = int(round(readout.measure(mode, rng).eigenvalue))
-    return DJResult(
-        verdict="constant" if z == 0 else "balanced",
-        sampled_z=z,
-        zero_probability=float(readout.probabilities[0]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +244,11 @@ def simon_readout(oracle: BooleanOracle) -> RegisterReadout:
     return RegisterReadout(simon_final_state(oracle).reshaped((2 ** oracle.n, 2 ** oracle.n)), 0)
 
 
-def simon(oracle: BooleanOracle, mode: SemanticsMode, rng: np.random.Generator,
-          max_samples: int = 50) -> SimonResult:
-    """Sample argument-register readouts until n-1 independent constraints
-    accumulate, then recover the hidden period over GF(2). The readout is
-    nondegenerate on its register, so `mode` does not change the samples."""
-    return simon_period(simon_readout(oracle), oracle.n, rng, max_samples)
-
-
 def simon_period(readout: RegisterReadout, n: int, rng: np.random.Generator,
                  max_samples: int) -> SimonResult:
-    """One Simon trial on a prepared readout: draw constraints j from `rng`."""
+    """One Simon trial on a prepared readout: draw constraints j from `rng`
+    until n-1 independent ones accumulate, then recover the hidden period
+    over GF(2)."""
     if max_samples < n - 1:
         raise ValueError(f"max_samples={max_samples} < n-1={n - 1}")
     rows: dict[int, int] = {}
@@ -270,14 +269,6 @@ def simon_period(readout: RegisterReadout, n: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # Grover
 
-@dataclass
-class GroverResult:
-    found: int
-    marked_probability: float
-    iterations: int
-    hit: bool
-
-
 def grover_iterations(n: int, marked_count: int) -> int:
     return int(math.floor((math.pi / 4.0) * math.sqrt(2 ** n / marked_count)))
 
@@ -297,16 +288,3 @@ def grover_readout(n: int, marked) -> tuple[RegisterReadout, list[int]]:
     state = StateVector(kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters),
                         (size,))
     return RegisterReadout(state, 0), marked
-
-
-def grover(n: int, marked, mode: SemanticsMode, rng: np.random.Generator) -> GroverResult:
-    """Standard Grover search over 2^n items; reports the sampled index and
-    the exact Born probability of landing in the marked set."""
-    readout, marked = grover_readout(n, marked)
-    found = int(round(readout.measure(mode, rng).eigenvalue))
-    return GroverResult(
-        found=found,
-        marked_probability=float(np.sum(readout.probabilities[marked])),
-        iterations=grover_iterations(n, len(marked)),
-        hit=found in marked,
-    )

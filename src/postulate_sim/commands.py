@@ -5,6 +5,7 @@ argv has parsed and passed its checks.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -65,7 +66,7 @@ def _entries(indices: list[int], entry) -> list:
 
 def _run_teleport(args) -> tuple[dict, int]:
     psi = _input_qubit(args.alpha, args.beta)
-    run = protocols.Teleportation(psi, SemanticsMode.from_string(args.mode))
+    run = protocols.Teleportation(psi, SemanticsMode(args.mode))
     indices = _draws(run, args)
 
     def entry(idx):
@@ -84,11 +85,7 @@ def _run_teleport(args) -> tuple[dict, int]:
         "born_probabilities": born,
         "outcomes": outcomes,
         "frequencies": {k: counts.get(k, 0) / args.trials for k in sorted(born)},
-        "blocked": None if blocked is None else {
-            "dimension": blocked.dimension,
-            "distinct_eigenvalues": blocked.distinct_eigenvalues,
-            "multiplicities": blocked.multiplicities,
-        },
+        "blocked": None if blocked is None else dataclasses.asdict(blocked),
     }
     return payload, EXIT_OK if blocked is None else EXIT_BLOCKED
 
@@ -162,7 +159,7 @@ def _run_grover(args) -> tuple[dict, int]:
 
 
 def _run_measure(args) -> tuple[dict, int]:
-    mode = SemanticsMode.from_string(args.mode)
+    mode = SemanticsMode(args.mode)
     psi = _input_qubit(args.alpha, args.beta)
     readout = RegisterReadout(psi, None, Observable(_PAULIS[args.observable], (2,)))
 

@@ -38,13 +38,6 @@ class SemanticsMode(enum.Enum):
     STRICT_VON_NEUMANN = "von-neumann"
     LUEDERS = "lueders"
 
-    @classmethod
-    def from_string(cls, s: str) -> "SemanticsMode":
-        for mode in cls:
-            if mode.value == s:
-                return mode
-        raise ValueError(f"unknown semantics mode {s!r}; expected 'von-neumann' or 'lueders'")
-
     def __str__(self):
         return self.value
 

@@ -25,7 +25,7 @@ from postulate_sim.protocols import (
     bell_state,
     teleport,
 )
-from test_algorithms import argument_observable
+from test_algorithms import argument_observable, assert_mode_independent, simon_trial
 from test_hilbert import phase_equal, tensor_op, tensor_state
 from test_measurement import apply_map
 from test_protocols import lifted_bell_observable
@@ -202,9 +202,9 @@ def test_criterion_08_deutsch_jozsa():
         p0 = partial_probabilities(argument_observable(n), 0, state)[0]
         assert p0 < 1e-10
         seed = int(rng.integers(0, 2 ** 32))
-        va = alg.deutsch_jozsa(oracle, LUEDERS, np.random.default_rng(seed))
-        vb = alg.deutsch_jozsa(oracle, STRICT, np.random.default_rng(seed))
-        assert va.verdict == vb.verdict == "balanced"
+        readout = alg.dj_readout(oracle)
+        assert_mode_independent(readout, [seed])
+        assert readout.draw(np.random.default_rng(seed)) != 0  # the verdict is "balanced"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"PASS criterion 8: DJ exact for n<=10, constant and balanced, both modes ({elapsed:.2f} s)")
@@ -221,7 +221,7 @@ def test_criterion_09_simon():
         for j in range(2 ** n):
             expected = 1 / 2 ** (n - 1) if popcount_parity(j & s) == 0 else 0.0
             assert abs(probs[j] - expected) < 1e-10
-        res = alg.simon(oracle, LUEDERS, rng, max_samples=50)
+        res = simon_trial(oracle, rng)
         assert res.period == s
         assert all(popcount_parity(j & s) == 0 for j in res.samples)
     print("PASS criterion 9: Simon support = dual subspace, uniform, period recovered (50 periods)")
@@ -232,32 +232,40 @@ def test_criterion_10_grover():
         for m in (1, 2):
             if m >= 2 ** n:
                 continue
-            res = alg.grover(n, list(range(m)), LUEDERS, np.random.default_rng(10))
+            readout, marked = alg.grover_readout(n, list(range(m)))
             theta = np.arcsin(np.sqrt(m / 2 ** n))
-            closed = np.sin((2 * res.iterations + 1) * theta) ** 2
-            assert abs(res.marked_probability - closed) < 1e-10
-    res = alg.grover(2, [1], LUEDERS, np.random.default_rng(10))
-    assert res.iterations == 1
-    assert abs(res.marked_probability - 1.0) < 1e-10
+            closed = np.sin((2 * alg.grover_iterations(n, m) + 1) * theta) ** 2
+            assert abs(readout.probabilities[marked].sum() - closed) < 1e-10
+    readout, marked = alg.grover_readout(2, [1])
+    assert alg.grover_iterations(2, 1) == 1
+    assert abs(readout.probabilities[marked].sum() - 1.0) < 1e-10
     print("PASS criterion 10: Grover probability matches sin^2((2k+1)theta); n=2 exact hit")
 
 
-def test_criterion_11_semantics_independence():
+def test_criterion_11_semantics_independence(capsys, tmp_path):
     rng = np.random.default_rng(11)
     for seed in range(20):
-        oracle = alg.balanced_oracle(5, rng)
-        a = alg.deutsch_jozsa(oracle, LUEDERS, np.random.default_rng(seed))
-        b = alg.deutsch_jozsa(oracle, STRICT, np.random.default_rng(seed))
-        assert (a.verdict, a.sampled_z, a.zero_probability) == \
-               (b.verdict, b.sampled_z, b.zero_probability)
+        assert_mode_independent(alg.dj_readout(alg.balanced_oracle(5, rng)), [seed])
         so = alg.simon_oracle(4, int(rng.integers(1, 16)), rng)
-        sa = alg.simon(so, LUEDERS, np.random.default_rng(seed))
-        sb = alg.simon(so, STRICT, np.random.default_rng(seed))
-        assert (sa.period, sa.samples) == (sb.period, sb.samples)
-        ga = alg.grover(4, [seed % 16], LUEDERS, np.random.default_rng(seed))
-        gb = alg.grover(4, [seed % 16], STRICT, np.random.default_rng(seed))
-        assert (ga.found, ga.marked_probability) == (gb.found, gb.marked_probability)
-    print("PASS criterion 11: DJ/Simon/Grover outcomes identical under both semantics at fixed seed")
+        assert_mode_independent(alg.simon_readout(so), [seed])
+        assert simon_trial(so, np.random.default_rng(seed)).period == so.hidden_period
+        assert_mode_independent(alg.grover_readout(4, [seed % 16])[0], [seed])
+    # the shipped path: the CLI's report does not depend on --mode
+    oracle = tmp_path / "s101.txt"
+    alg.save_oracle(alg.simon_oracle(3, 0b101, np.random.default_rng(6)), oracle)
+    for argv in (["dj", "--n", "5", "--kind", "balanced", "--seed", "6", "--trials", "20"],
+                 ["simon", "--n", "4", "--period", "0110", "--seed", "2", "--trials", "5"],
+                 ["simon", "--oracle", str(oracle), "--seed", "3", "--trials", "5"],
+                 ["grover", "--n", "4", "--marked", "3,9", "--seed", "8", "--trials", "20"]):
+        reports = {}
+        for mode in ("lueders", "von-neumann"):
+            assert cli.main(argv + ["--mode", mode]) == 0
+            reports[mode] = json.loads(capsys.readouterr().out)
+            assert reports[mode]["config"].pop("mode") == mode
+        assert reports["lueders"] == reports["von-neumann"]
+    with capsys.disabled():
+        print("PASS criterion 11: DJ/Simon/Grover outcomes and CLI reports identical "
+              "under both semantics at fixed seed")
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,6 +51,25 @@ def simon_table_by_unique(n, s, rng=None):
     return values[np.unique(np.minimum(x, x ^ s), return_inverse=True)[1]]
 
 
+def dj_verdict(readout, rng):
+    """The CLI's DJ verdict of one draw: z = 0 means constant."""
+    return "constant" if readout.draw(rng) == 0 else "balanced"
+
+
+def simon_trial(oracle, rng, max_samples=50):
+    """One Simon trial on the prepared readout, as the CLI runs it."""
+    return alg.simon_period(alg.simon_readout(oracle), oracle.n, rng, max_samples)
+
+
+def assert_mode_independent(readout, seeds):
+    """At each seed, `measure` draws the same eigenvalue under both semantics,
+    and it is the index that `draw` gives."""
+    for seed in seeds:
+        rng = lambda: np.random.default_rng(seed)
+        assert readout.measure(LUEDERS, rng()).eigenvalue == \
+            readout.measure(STRICT, rng()).eigenvalue == readout.draw(rng())
+
+
 def simon_amplitudes_brute(table):
     size = len(table)
     amps = np.zeros((size, size))
@@ -114,6 +133,26 @@ class TestOracles:
         loaded = alg.load_oracle(path, "simon")
         np.testing.assert_array_equal(loaded.table, o.table)
         assert loaded.hidden_period == o.hidden_period
+
+    @pytest.mark.parametrize("kind,oracle", [
+        ("dj", lambda: alg.balanced_oracle(15, np.random.default_rng(3))),
+        ("simon", lambda: alg.simon_oracle(8, 0b10110011, np.random.default_rng(4))),
+    ], ids=["dj", "simon"])
+    def test_file_at_widest_loads(self, tmp_path, kind, oracle):
+        """The widest valid files, with a comment as long as the line bound."""
+        oracle = oracle()
+        path = tmp_path / "oracle.txt"
+        alg.save_oracle(oracle, path)
+        path.write_text("#" * alg._MAX_LINE + "\n" + path.read_text())
+        np.testing.assert_array_equal(alg.load_oracle(path, kind).table, oracle.table)
+
+    def test_file_line_bound(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("0 0\n" + "1" * 3_000_000 + " 1\n")
+        with pytest.raises(InvalidOracle) as exc:
+            alg.load_oracle(path, "dj")
+        assert str(exc.value) == (f"{path}:2: line longer than {alg._MAX_LINE} characters, "
+                                  f"starting {'1' * 16!r}")
 
     def test_file_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -215,19 +254,16 @@ class TestDeutschJozsa:
         rng = np.random.default_rng(6)
         for n in [1, 2, 6]:
             for value in (0, 1):
-                res = alg.deutsch_jozsa(alg.constant_oracle(n, value), LUEDERS, rng)
-                assert res.verdict == "constant"
-                assert res.zero_probability == pytest.approx(1.0, abs=1e-10)
-            res = alg.deutsch_jozsa(alg.balanced_oracle(n, rng), LUEDERS, rng)
-            assert res.verdict == "balanced"
-            assert res.zero_probability == pytest.approx(0.0, abs=1e-10)
+                readout = alg.dj_readout(alg.constant_oracle(n, value))
+                assert dj_verdict(readout, rng) == "constant"
+                assert readout.probabilities[0] == pytest.approx(1.0, abs=1e-10)
+            readout = alg.dj_readout(alg.balanced_oracle(n, rng))
+            assert dj_verdict(readout, rng) == "balanced"
+            assert readout.probabilities[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_mode_independent(self):
-        oracle = alg.balanced_oracle(4, np.random.default_rng(8))
-        for seed in range(10):
-            a = alg.deutsch_jozsa(oracle, LUEDERS, np.random.default_rng(seed))
-            b = alg.deutsch_jozsa(oracle, STRICT, np.random.default_rng(seed))
-            assert (a.verdict, a.sampled_z) == (b.verdict, b.sampled_z)
+        assert_mode_independent(alg.dj_readout(alg.balanced_oracle(4, np.random.default_rng(8))),
+                                range(10))
 
 
 class TestSimonState:
@@ -329,18 +365,18 @@ class TestGf2:
 class TestSimonRecovery:
     def test_n2(self):
         oracle = alg.BooleanOracle.simon(2, [0, 1, 1, 0])
-        res = alg.simon(oracle, LUEDERS, np.random.default_rng(0))
+        res = simon_trial(oracle, np.random.default_rng(0))
         assert res.period == 0b11
         assert all(j in (0b00, 0b11) for j in res.samples)
 
     def test_n3_seeded(self):
         oracle = alg.simon_oracle(3, 0b101, np.random.default_rng(1))
-        res = alg.simon(oracle, LUEDERS, np.random.default_rng(1), max_samples=50)
+        res = simon_trial(oracle, np.random.default_rng(1), max_samples=50)
         assert res.period == 0b101
 
     def test_n1_immediate(self):
         oracle = alg.BooleanOracle.simon(1, [0, 0])
-        res = alg.simon(oracle, LUEDERS, np.random.default_rng(0))
+        res = simon_trial(oracle, np.random.default_rng(0))
         assert res.period == 1
         assert res.samples == []
 
@@ -349,7 +385,7 @@ class TestSimonRecovery:
         for n in [2, 3, 4, 5]:
             s = int(rng.integers(1, 2 ** n))
             oracle = alg.simon_oracle(n, s, rng)
-            res = alg.simon(oracle, LUEDERS, rng)
+            res = simon_trial(oracle, rng)
             assert res.period == s
             for j in res.samples:
                 assert popcount_parity(j & s) == 0
@@ -363,52 +399,42 @@ class TestSimonRecovery:
 
         oracle = alg.simon_oracle(3, 0b110, np.random.default_rng(4))
         with pytest.raises(RankDeficient):
-            alg.simon(oracle, LUEDERS, StuckRng(), max_samples=10)
-
-    def test_max_samples_too_small(self):
-        oracle = alg.simon_oracle(3, 0b110, np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            alg.simon(oracle, LUEDERS, np.random.default_rng(0), max_samples=1)
+            simon_trial(oracle, StuckRng(), max_samples=10)
 
     def test_mode_independent(self):
         oracle = alg.simon_oracle(4, 0b1010, np.random.default_rng(2))
+        assert_mode_independent(alg.simon_readout(oracle), range(5))
         for seed in range(5):
-            a = alg.simon(oracle, LUEDERS, np.random.default_rng(seed))
-            b = alg.simon(oracle, STRICT, np.random.default_rng(seed))
-            assert a.period == b.period
-            assert a.samples == b.samples
+            assert simon_trial(oracle, np.random.default_rng(seed)).period == 0b1010
 
 
 class TestGrover:
     def test_n2_exact(self):
-        res = alg.grover(2, [3], LUEDERS, np.random.default_rng(0))
-        assert res.iterations == 1
-        assert res.marked_probability == pytest.approx(1.0, abs=1e-10)
-        assert res.found == 3 and res.hit
+        readout, marked = alg.grover_readout(2, [3])
+        assert alg.grover_iterations(2, len(marked)) == 1
+        assert readout.probabilities[marked].sum() == pytest.approx(1.0, abs=1e-10)
+        found = readout.draw(np.random.default_rng(0))
+        assert found == 3 and found in marked
 
     def test_n4_three_iterations(self):
-        res = alg.grover(4, [11], LUEDERS, np.random.default_rng(0))
-        assert res.iterations == 3
-        assert res.marked_probability == pytest.approx(0.9613189697265625, abs=1e-10)
+        readout, marked = alg.grover_readout(4, [11])
+        assert alg.grover_iterations(4, len(marked)) == 3
+        assert readout.probabilities[marked].sum() == pytest.approx(0.9613189697265625, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("m", [1, 2])
     def test_closed_form(self, n, m):
         if m >= 2 ** n:
             pytest.skip("marked set must be a strict subset")
-        marked = list(range(m))
-        res = alg.grover(n, marked, LUEDERS, np.random.default_rng(n))
+        readout, marked = alg.grover_readout(n, list(range(m)))
         theta = np.arcsin(np.sqrt(m / 2 ** n))
-        expected = np.sin((2 * res.iterations + 1) * theta) ** 2
-        assert res.marked_probability == pytest.approx(expected, abs=1e-10)
+        expected = np.sin((2 * alg.grover_iterations(n, m) + 1) * theta) ** 2
+        assert readout.probabilities[marked].sum() == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_marked(self):
-        with pytest.raises(InvalidMarkedSet):
-            alg.grover(2, [], LUEDERS, np.random.default_rng(0))
-        with pytest.raises(InvalidMarkedSet):
-            alg.grover(2, [0, 1, 2, 3], LUEDERS, np.random.default_rng(0))
-        with pytest.raises(InvalidMarkedSet):
-            alg.grover(2, [4], LUEDERS, np.random.default_rng(0))
+        for marked in ([], [0, 1, 2, 3], [4]):
+            with pytest.raises(InvalidMarkedSet):
+                alg.grover_readout(2, marked)
 
     def test_readout_at_cap_holds_one_state(self):
         """At n = 16 the state is 2^16 amplitudes, 1 MiB: the kernel's
@@ -420,34 +446,13 @@ class TestGrover:
         assert traced_peak(lambda: alg.grover_readout(16, [3])) <= 1.55 * 2 ** 20
 
     def test_mode_independent(self):
-        for seed in range(10):
-            a = alg.grover(3, [2, 5], LUEDERS, np.random.default_rng(seed))
-            b = alg.grover(3, [2, 5], STRICT, np.random.default_rng(seed))
-            assert (a.found, a.marked_probability) == (b.found, b.marked_probability)
+        readout, marked = alg.grover_readout(3, [5, 2, 5])
+        assert marked == [2, 5]
+        assert_mode_independent(readout, range(10))
 
 
 class TestPreparedReadouts:
-    """Each driver is its prepared readout plus draws from the same stream."""
-
-    @pytest.mark.parametrize("mode", [SemanticsMode.LUEDERS, SemanticsMode.STRICT_VON_NEUMANN])
-    def test_drivers_match_their_readouts(self, mode):
-        dj = alg.balanced_oracle(4, np.random.default_rng(1))
-        simon_oracle = alg.simon_oracle(4, 0b1011, np.random.default_rng(2))
-        dj_readout = alg.dj_readout(dj)
-        simon_readout = alg.simon_readout(simon_oracle)
-        grover_readout, marked = alg.grover_readout(5, [7, 3, 7])
-        assert marked == [3, 7]
-        for seed in range(30):
-            rng = lambda: np.random.default_rng(seed)
-            res = alg.deutsch_jozsa(dj, mode, rng())
-            assert res.sampled_z == dj_readout.draw(rng())
-            assert res.zero_probability == float(dj_readout.probabilities[0])
-            prepared = alg.simon_period(simon_readout, 4, rng(), 50)
-            assert alg.simon(simon_oracle, mode, rng(), 50) == prepared
-            assert prepared.period == 0b1011
-            res = alg.grover(5, [7, 3, 7], mode, rng())
-            assert res.found == grover_readout.draw(rng())
-            assert res.marked_probability == float(np.sum(grover_readout.probabilities[marked]))
+    """The prepared readouts that every CLI trial draws from."""
 
     def test_simon_period_checks_max_samples(self):
         readout = alg.simon_readout(alg.simon_oracle(4, 0b11))

@@ -504,6 +504,27 @@ def test_failed_write_is_one_line_error(argv):
     assert err == f"postulate-sim: error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
 
 
+@pytest.mark.parametrize("command,case", [
+    ("simon", "fifo"), ("dj", "dev_zero"), ("simon", "directory"), ("dj", "long_line"),
+])
+def test_unreadable_oracle_is_one_line_error(tmp_path, command, case):
+    """An oracle path that is not a regular file, or a line past the bound,
+    ends in one short error line and exit 1: a FIFO with no writer does not
+    block, /dev/zero is not read, and a 3 MB line is quoted by a prefix."""
+    path = {"fifo": tmp_path / "fifo", "dev_zero": Path("/dev/zero"),
+            "directory": tmp_path, "long_line": tmp_path / "long.txt"}[case]
+    if case == "fifo":
+        os.mkfifo(path)
+    elif case == "long_line":
+        path.write_text("0" * 3_000_000 + "\n")
+    code, out, err, _ = run_limited(
+        "from postulate_sim.cli import main; sys.exit(main())", command, "--oracle", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("postulate-sim: error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < len(str(path)) + 100
+    assert str(path) in err  # the cause is named, not an empty out-of-memory message
+
+
 @pytest.mark.parametrize("argv,imported", [
     (("teleport", "--trials", "20"), False),
     (("measure", "--observable", "x", "--trials", "20"), False),

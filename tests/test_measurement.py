@@ -95,14 +95,14 @@ def brute_force_probabilities(matrix, amps, tol=1e-9):
 
 class TestSemanticsMode:
     def test_string_round_trip(self):
-        assert SemanticsMode.from_string("lueders") is LUEDERS
-        assert SemanticsMode.from_string("von-neumann") is STRICT
+        assert SemanticsMode("lueders") is LUEDERS
+        assert SemanticsMode("von-neumann") is STRICT
         assert str(LUEDERS) == "lueders"
         assert str(STRICT) == "von-neumann"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            SemanticsMode.from_string("copenhagen")
+            SemanticsMode("copenhagen")
 
 
 class TestBornProbability:

@@ -64,37 +64,49 @@ def test_no_unread_private_names():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def unread_private_parameters(source: str) -> list[str]:
-    """`function.parameter` for every parameter of a module-level private
-    function that the function's body never reads; a closure in the body
-    reads for it. Defaults and annotations are not the body."""
-    tree = ast.parse(source)
+def unread_parameters(source: str) -> list[str]:
+    """`qualified.name.parameter` for every parameter of a function or method
+    that its body never reads; a closure in the body reads for it. Defaults
+    and annotations are not the body. `self` and `cls` are skipped, and
+    dunder methods are exempt: the interpreter fixes their signatures."""
     found = []
-    for node in tree.body:
-        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
-            continue
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-        read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        found += [f"{node.name}.{p}" for p in params if p not in read]
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                named = isinstance(child, ast.ClassDef)
+                visit(child, f"{prefix}{child.name}." if named else prefix)
+                continue
+            name = prefix + child.name
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}.{p}" for p in params
+                             if p not in read and p not in ("self", "cls"))
+            visit(child, f"{name}.")
+
+    visit(ast.parse(source), "")
     return found
 
 
 def test_unread_private_parameters_detected():
     source = ("def _f(a, b, /, c, *args, d=1, **kw):\n    return a + c + kw['x']\n"
-              "def _g(x, y: int = 0):\n    def inner():\n        return x\n    return inner\n"
+              "def _g(x, y: int = 0):\n    def inner(z):\n        return x\n    return inner\n"
               "def public(unused):\n    pass\n"
-              "class _C:\n    def _m(self, unused):\n        pass\n")
-    assert unread_private_parameters(source) == ["_f.b", "_f.d", "_f.args", "_g.y"]
+              "class _C:\n    def _m(self, unused):\n        pass\n"
+              "    @classmethod\n    def make(cls, n):\n        return cls(n)\n"
+              "    def __exit__(self, *exc):\n        pass\n")
+    assert unread_parameters(source) == ["_f.b", "_f.d", "_f.args", "_g.y", "_g.inner.z",
+                                         "public.unused", "_C._m.unused"]
 
 
 def test_no_unread_private_parameters():
-    """A parameter that a private function never reads is a dead argument at
-    every call site."""
-    found = {path.name: unread_private_parameters(path.read_text())
+    """A parameter that a function or method never reads is a dead argument
+    at every call site."""
+    found = {path.name: unread_parameters(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
