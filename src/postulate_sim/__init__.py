@@ -16,8 +16,8 @@ _EXPORTS = {
     **dict.fromkeys(["MeasurementOutcome", "RefinementObservable", "RegisterReadout",
                      "SemanticsMode", "build_refinement", "lift", "measure",
                      "partial_measure"], "measurement"),
-    **dict.fromkeys(["BellKind", "TeleportResult", "bell_state", "bell_basis_observable",
-                     "teleport"], "protocols"),
+    **dict.fromkeys(["BellKind", "TeleportResult", "Teleportation", "bell_state",
+                     "bell_basis_observable"], "protocols"),
 }
 
 __all__ = [*_EXPORTS, "__version__"]

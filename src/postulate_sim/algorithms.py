@@ -135,6 +135,8 @@ def simon_oracle(n: int, s: int, rng: Optional[np.random.Generator] = None) -> B
 
 # a valid line holds at most 15 + 1 (DJ) or 8 + 8 (Simon) digits and whitespace
 _MAX_LINE = 80
+# twice the 2^15 data lines of the largest valid file (DJ at n = 15)
+_MAX_LINES = 2 ** 16
 
 
 def parse_bits(text: str) -> int:
@@ -153,9 +155,10 @@ def save_oracle(oracle: BooleanOracle, path) -> None:
 
 
 def load_oracle(path, kind: str) -> BooleanOracle:
-    """Read a truth-table file. Only a regular file is read, and a line,
-    comments included, holds at most `_MAX_LINE` characters, so a FIFO, a
-    device or a line that never ends is an error, not a wait."""
+    """Read a truth-table file. Only a regular file is read, a line, comments
+    included, holds at most `_MAX_LINE` characters, and the file at most
+    `_MAX_LINES` lines, so a FIFO, a device, a line that never ends or a
+    file of endless comments is an error, not a wait."""
     if kind not in ("dj", "simon"):
         raise InvalidOracle(f"unknown oracle kind {kind!r}")
     entries = {}
@@ -166,6 +169,8 @@ def load_oracle(path, kind: str) -> BooleanOracle:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise InvalidOracle(f"{path}: not a regular file")
         for lineno, line in enumerate(iter(lambda: fh.readline(_MAX_LINE + 1), ""), 1):
+            if lineno > _MAX_LINES:
+                raise InvalidOracle(f"{path}:{lineno}: more than {_MAX_LINES} lines")
             if len(line.rstrip("\n")) > _MAX_LINE:
                 raise InvalidOracle(f"{path}:{lineno}: line longer than {_MAX_LINE} characters, "
                                     f"starting {line[:16]!r}")

@@ -166,7 +166,9 @@ def main(argv=None) -> int:
         print(f"postulate-sim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        print(f"postulate-sim: error: out of memory: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no text: name the command instead
+        detail = f": {exc}" if str(exc) else ""
+        print(f"postulate-sim: error: out of memory in {args.command}{detail}", file=sys.stderr)
         return EXIT_USAGE
     try:
         sys.stdout.write(text)

@@ -68,19 +68,19 @@ def _run_teleport(args) -> tuple[dict, int]:
     psi = _input_qubit(args.alpha, args.beta)
     run = protocols.Teleportation(psi, SemanticsMode(args.mode))
     indices = _draws(run, args)
+    blocked = run.blocked
 
     def entry(idx):
         result = run.branch(idx)
-        entry = {"outcome": result.outcome_kind.label, "bits": list(result.classical_bits),
-                 "determined": result.blocked is None}
-        if result.blocked is None:
+        entry = {"outcome": result.outcome_kind.label,
+                 "bits": list(result.outcome_kind.classical_bits), "determined": blocked is None}
+        if blocked is None:
             entry["fidelity"] = float(abs(psi.overlap(result.bob_state_after_correction)) ** 2)
         return entry
 
     born = {kind.label: float(run.probabilities[kind.value]) for kind in protocols.BellKind}
     outcomes = _entries(indices, entry)
     counts = Counter(e["outcome"] for e in outcomes)
-    blocked = run.branch(indices[-1]).blocked
     payload = {
         "born_probabilities": born,
         "outcomes": outcomes,

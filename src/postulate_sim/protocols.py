@@ -48,12 +48,9 @@ class DegeneracyReport:
 @dataclass
 class TeleportResult:
     outcome_kind: BellKind
-    classical_bits: tuple[int, int]
     bob_state_before_correction: Optional[StateVector]
     correction: str
     bob_state_after_correction: Optional[StateVector]
-    blocked: Optional[DegeneracyReport]
-    probability: float
 
 
 @lru_cache(maxsize=None)
@@ -86,58 +83,35 @@ _CORRECTIONS = {
 }
 
 
-def teleport_input(psi_in: StateVector) -> StateVector:
-    """|psi>|Phi+>, the sender's two qubits grouped into one 4-dim factor."""
-    # the outer product of two vectors, flattened, is their Kronecker product
-    return StateVector(np.outer(psi_in.amplitudes, bell_state(BellKind.PHI_PLUS).amplitudes),
-                       (4, 2))
-
-
 class Teleportation(RegisterReadout):
     """|psi>|Phi+> with the sender's pair read out in the Bell basis, prepared once.
 
     The Born vector of the four Bell outcomes is computed here and serves
-    every draw; the result of each branch (index = `BellKind` value) is
-    built on first read and reused. Bob's state in branch k is the stored
-    component (<B_k| x I)|psi>|Phi+>.
+    every draw. Under strict von Neumann the run is blocked as a whole:
+    `blocked` holds the projector rank of each Bell outcome, and no branch
+    has a post-state. Bob's state in branch k (index = `BellKind` value) is
+    the stored component (<B_k| x I)|psi>|Phi+>.
     """
 
     def __init__(self, psi_in: StateVector, mode: SemanticsMode):
         if psi_in.dim != 2:
             raise ValueError("teleport expects a single-qubit input state")
-        super().__init__(teleport_input(psi_in), 0, bell_basis_observable())
-        self.mode = mode
-        self._branches: dict[int, TeleportResult] = {}
+        # the outer product of two vectors, flattened, is their Kronecker product;
+        # the sender's two qubits are grouped into one 4-dim factor
+        total = np.outer(psi_in.amplitudes, bell_state(BellKind.PHI_PLUS).amplitudes)
+        super().__init__(StateVector(total, (4, 2)), 0, bell_basis_observable())
+        self.blocked: Optional[DegeneracyReport] = None
+        if mode is SemanticsMode.STRICT_VON_NEUMANN:
+            ranks = [self.outcome(kind.value, mode).projector_rank for kind in BellKind]
+            self.blocked = DegeneracyReport(self.psi.dim, len(BellKind), ranks)
 
     def branch(self, idx: int) -> TeleportResult:
-        """The result of Bell branch `idx`, built on its first read."""
-        if idx in self._branches:
-            return self._branches[idx]
+        """The result of Bell branch `idx`; Bob's states only when the run is not blocked."""
         kind = BellKind(idx)
         label, gate = _CORRECTIONS[kind]
-        bob_before = bob_after = blocked = None
-        if self.mode is SemanticsMode.STRICT_VON_NEUMANN:
-            rank = self.outcome(idx, self.mode).projector_rank
-            blocked = DegeneracyReport(self.psi.dim, len(BellKind), [rank] * len(BellKind))
-        else:
+        bob_before = bob_after = None
+        if self.blocked is None:
             phi = self._mat[0, idx]  # the Bell factor is first, so `before` is 1
             bob_before = StateVector(phase_normalize(phi / np.linalg.norm(phi)), (2,))
             bob_after = StateVector(phase_normalize(gate @ bob_before.amplitudes), (2,))
-        result = self._branches[idx] = TeleportResult(
-            outcome_kind=kind,
-            classical_bits=kind.classical_bits,
-            bob_state_before_correction=bob_before,
-            correction=label,
-            bob_state_after_correction=bob_after,
-            blocked=blocked,
-            probability=float(self.probabilities[idx]),
-        )
-        return result
-
-
-def teleport(psi_in: StateVector, mode: SemanticsMode, rng: Optional[np.random.Generator] = None,
-             force_outcome: Optional[BellKind] = None) -> TeleportResult:
-    """Run one teleportation trial; `force_outcome` pins the Bell branch."""
-    run = Teleportation(psi_in, mode)
-    return run.branch(run.choose(rng, None if force_outcome is None else force_outcome.value))
-
+        return TeleportResult(kind, bob_before, label, bob_after)

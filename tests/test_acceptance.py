@@ -22,8 +22,8 @@ from postulate_sim.measurement import (
 )
 from postulate_sim.protocols import (
     BellKind,
+    Teleportation,
     bell_state,
-    teleport,
 )
 from test_algorithms import argument_observable, assert_mode_independent, simon_trial
 from test_hilbert import phase_equal, tensor_op, tensor_state
@@ -100,11 +100,12 @@ def test_criterion_03_teleportation_success_lueders():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         psi = random_qubit(rng)
+        run = Teleportation(psi, LUEDERS)
         for kind in BellKind:
-            res = teleport(psi, LUEDERS, force_outcome=kind)
+            res = run.branch(kind.value)
             fid = abs(psi.overlap(res.bob_state_after_correction)) ** 2
             assert abs(fid - 1.0) < 1e-10
-            assert abs(res.probability - 0.25) < 1e-10
+            assert abs(run.probabilities[kind.value] - 0.25) < 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"PASS criterion 3: fidelity 1 and probability 0.25 on 1000x4 branches ({elapsed:.2f} s)")
@@ -113,9 +114,10 @@ def test_criterion_03_teleportation_success_lueders():
 def test_criterion_04_teleportation_refusal_strict(capsys):
     rng = np.random.default_rng(4)
     for _ in range(50):
-        res = teleport(random_qubit(rng), STRICT, rng)
-        assert res.blocked is not None
-        assert res.blocked.multiplicities == [2, 2, 2, 2]
+        run = Teleportation(random_qubit(rng), STRICT)
+        res = run.branch(run.draw(rng))
+        assert run.blocked is not None
+        assert run.blocked.multiplicities == [2, 2, 2, 2]
         assert res.bob_state_after_correction is None
         assert res.bob_state_before_correction is None
     code = cli.main(["teleport", "--mode", "von-neumann", "--alpha", "0.6,0",

@@ -154,6 +154,19 @@ class TestOracles:
         assert str(exc.value) == (f"{path}:2: line longer than {alg._MAX_LINE} characters, "
                                   f"starting {'1' * 16!r}")
 
+    def test_file_line_count_bound(self, tmp_path):
+        """Comments fill the file up to the line bound: it loads; one more line is rejected."""
+        oracle = alg.constant_oracle(3, 1)
+        path = tmp_path / "oracle.txt"
+        alg.save_oracle(oracle, path)
+        table = path.read_text()
+        path.write_text("# c\n" * (alg._MAX_LINES - 8) + table)
+        np.testing.assert_array_equal(alg.load_oracle(path, "dj").table, oracle.table)
+        path.write_text("# c\n" * (alg._MAX_LINES - 7) + table)
+        with pytest.raises(InvalidOracle) as exc:
+            alg.load_oracle(path, "dj")
+        assert str(exc.value) == f"{path}:{alg._MAX_LINES + 1}: more than {alg._MAX_LINES} lines"
+
     def test_file_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("00 0\n01 1\n")

@@ -466,12 +466,16 @@ class TestErrors:
         assert err.startswith("postulate-sim: error: ") and len(err.splitlines()) == 1
 
     def test_memory_error_exit_1(self, capsys, monkeypatch):
-        def exhausted(args):
-            raise MemoryError("Unable to allocate 8.00 TiB")
-        monkeypatch.setitem(commands.RUNNERS, "grover", exhausted)
-        code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
-        assert (code, out) == (1, "")
-        assert "out of memory" in err
+        for exc, line in [
+            (MemoryError("Unable to allocate 8.00 TiB"),
+             "postulate-sim: error: out of memory in grover: Unable to allocate 8.00 TiB"),
+            (MemoryError(), "postulate-sim: error: out of memory in grover"),
+        ]:
+            def exhausted(args):
+                raise exc
+            monkeypatch.setitem(commands.RUNNERS, "grover", exhausted)
+            code, out, err = run_cli(capsys, "grover", "--n", "2", "--marked", "1")
+            assert (code, out, err) == (1, "", line + "\n")
 
     def test_non_finite_report_exit_1(self, capsys, monkeypatch):
         monkeypatch.setitem(commands.RUNNERS, "grover", lambda args: ({"x": float("nan")}, 0))

@@ -3,6 +3,7 @@ or 2) or a one-line error (exit 1), never in a traceback."""
 import contextlib
 import io
 import json
+import os
 
 import pytest
 
@@ -88,6 +89,8 @@ def fuzz_cli(oracle_paths, max_examples):
     def fuzz(argv):
         _check_argv(argv)
 
+    for path in oracle_paths:  # each path at least once, whatever the draws reach
+        fuzz = hypothesis.example(["dj", "--oracle", path])(fuzz)
     fuzz()
 
 
@@ -100,10 +103,12 @@ def test_cli_fuzz(tmp_path):
         ("simon.txt", "".join(f"{x:02b} {min(x, x ^ 3):02b}\n" for x in range(4))),
         ("wide.txt", "0" * 40 + " 1\n"),
         ("garbage.txt", "garbage\n"),
+        ("long.txt", "1" * 3_000_000 + " 1\n"),
     ]:
         (tmp_path / name).write_text(text)
         paths.append(str(tmp_path / name))
-    paths += [str(tmp_path), str(tmp_path / "missing.txt")]
+    os.mkfifo(tmp_path / "fifo")  # no writer: opening it for reading must not wait
+    paths += [str(tmp_path), str(tmp_path / "missing.txt"), str(tmp_path / "fifo"), "/dev/zero"]
     code, out, err, _ = run_limited(
         f"import test_cli_fuzz; test_cli_fuzz.fuzz_cli({paths!r}, 300)", timeout=300.0)
     assert code == 0, out + err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from postulate_sim.measurement import SemanticsMode, measure, partial_measure
+from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
 from test_hilbert import phase_equal, planted_observable, random_state
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,3 +61,31 @@ def test_strict_collapse_iff_rank_one(case):
             assert phase_equal(strict.post_state, lueders.post_state, 1e-10)
         else:
             assert phase_equal(strict.lueders_post_state, lueders.post_state, 1e-10)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(0, 2 ** 32 - 1))
+def test_teleport_restores_under_lueders_only(seed):
+    """Teleportation of a random input qubit. Under Lueders (1951) each of
+    the four Bell branches has probability 1/4 and its corrected state is the
+    input; Bob's states before correction average to I/2, so the Bell
+    outcome alone carries no signal. Under strict von Neumann (1932) every
+    Bell projector |B_k><B_k| x I has rank 2: the run is blocked as a whole
+    and no branch has a Bob state."""
+    psi = random_state(np.random.default_rng(seed), 2, (2,))
+    run = Teleportation(psi, LUEDERS)
+    assert run.blocked is None
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for kind in BellKind:
+        p, res = run.probabilities[kind.value], run.branch(kind.value)
+        assert p == pytest.approx(0.25, abs=1e-10)
+        assert abs(psi.overlap(res.bob_state_after_correction)) ** 2 == pytest.approx(1, abs=1e-10)
+        bob = res.bob_state_before_correction.amplitudes
+        rho += p * np.outer(bob, bob.conj())
+    np.testing.assert_allclose(rho, np.eye(2) / 2, rtol=0, atol=1e-10)
+
+    strict = Teleportation(psi, STRICT)
+    assert strict.blocked == DegeneracyReport(8, 4, [2, 2, 2, 2])
+    for kind in BellKind:
+        res = strict.branch(kind.value)
+        assert res.bob_state_before_correction is None and res.bob_state_after_correction is None

@@ -18,7 +18,6 @@ from postulate_sim.protocols import (
     bell_basis_observable,
     bell_state,
     Teleportation,
-    teleport,
 )
 from test_hilbert import phase_equal, tensor_state
 
@@ -49,9 +48,9 @@ CORRECTIONS = {
 
 
 def assert_branch_applies(psi, kind, label, gate):
-    """The forced Lueders branch `kind` reports `label`, applies `gate` to Bob's
+    """The Lueders branch `kind` reports `label`, applies `gate` to Bob's
     state before correction to give his state after it, and restores `psi`."""
-    res = teleport(psi, LUEDERS, force_outcome=kind)
+    res = Teleportation(psi, LUEDERS).branch(kind.value)
     assert res.correction == label
     corrected = StateVector(np.asarray(gate) @ res.bob_state_before_correction.amplitudes)
     assert phase_equal(corrected, res.bob_state_after_correction, 1e-12)
@@ -131,38 +130,41 @@ class TestCorrectionGates:
 class TestTeleport:
     def test_phi_minus_branch(self):
         alpha, beta = 0.6, 0.8
-        res = teleport(StateVector([alpha, beta]), LUEDERS, force_outcome=BellKind.PHI_MINUS)
+        res = Teleportation(StateVector([alpha, beta]), LUEDERS).branch(BellKind.PHI_MINUS.value)
         assert phase_equal(res.bob_state_before_correction, StateVector([alpha, -beta]), 1e-10)
         assert phase_equal(res.bob_state_after_correction, StateVector([alpha, beta]), 1e-10)
         assert res.correction == "sigma3"
-        assert res.classical_bits == (0, 1)
+        assert res.outcome_kind.classical_bits == (0, 1)
 
     def test_basis_input(self):
         rng = np.random.default_rng(9)
+        run = Teleportation(StateVector([1, 0]), LUEDERS)
         for _ in range(10):
-            res = teleport(StateVector([1, 0]), LUEDERS, rng)
+            res = run.branch(run.draw(rng))
             assert phase_equal(res.bob_state_after_correction, StateVector([1, 0]), 1e-10)
 
     def test_strict_blocked_every_branch(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
-            res = teleport(random_qubit(rng), STRICT, rng)
-            assert res.blocked is not None
+            run = Teleportation(random_qubit(rng), STRICT)
+            res = run.branch(run.draw(rng))
+            assert run.blocked is not None
             assert res.bob_state_after_correction is None
             assert res.bob_state_before_correction is None
-            assert res.blocked.multiplicities == [2, 2, 2, 2]
-            assert res.blocked.dimension == 8
-            assert res.blocked.distinct_eigenvalues == 4
+            assert run.blocked.multiplicities == [2, 2, 2, 2]
+            assert run.blocked.dimension == 8
+            assert run.blocked.distinct_eigenvalues == 4
 
     def test_fidelity_all_branches(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
             psi = random_qubit(rng)
+            run = Teleportation(psi, LUEDERS)
             for kind in BellKind:
-                res = teleport(psi, LUEDERS, force_outcome=kind)
+                res = run.branch(kind.value)
                 fid = abs(psi.overlap(res.bob_state_after_correction)) ** 2
                 assert fid == pytest.approx(1.0, abs=1e-10)
-                assert res.probability == pytest.approx(0.25, abs=1e-10)
+                assert run.probabilities[kind.value] == pytest.approx(0.25, abs=1e-10)
 
     def test_pre_correction_states_match_listing(self):
         rng = np.random.default_rng(55)
@@ -175,8 +177,9 @@ class TestTeleport:
                 BellKind.PSI_PLUS: [beta, alpha],
                 BellKind.PSI_MINUS: [-beta, alpha],
             }
+            run = Teleportation(psi, LUEDERS)
             for kind, amps in expected.items():
-                res = teleport(psi, LUEDERS, force_outcome=kind)
+                res = run.branch(kind.value)
                 target = StateVector(np.array(amps) / np.linalg.norm(amps))
                 assert phase_equal(res.bob_state_before_correction, target, 1e-10)
 
@@ -190,54 +193,30 @@ class TestTeleport:
 
     def test_sampled_outcomes_cover_all_branches(self):
         rng = np.random.default_rng(3)
-        psi = random_qubit(rng)
-        seen = {teleport(psi, LUEDERS, rng).outcome_kind for _ in range(100)}
+        run = Teleportation(random_qubit(rng), LUEDERS)
+        seen = {run.branch(run.draw(rng)).outcome_kind for _ in range(100)}
         assert seen == set(BellKind)
 
     def test_rejects_multiqubit_input(self):
         with pytest.raises(ValueError):
-            teleport(bell_state(BellKind.PHI_PLUS), LUEDERS, np.random.default_rng(0))
-
-
-def assert_same_result(a, b):
-    assert (a.outcome_kind, a.classical_bits, a.correction, a.probability) == \
-        (b.outcome_kind, b.classical_bits, b.correction, b.probability)
-    assert a.blocked == b.blocked
-    for x, y in [(a.bob_state_before_correction, b.bob_state_before_correction),
-                 (a.bob_state_after_correction, b.bob_state_after_correction)]:
-        assert (x is None) == (y is None)
-        if x is not None:
-            np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
+            Teleportation(bell_state(BellKind.PHI_PLUS), LUEDERS)
 
 
 class TestTeleportation:
-    """`teleport` is one prepared `Teleportation` plus one draw or forced branch."""
+    """The prepared run: its Born vector, its branches and its strict verdict."""
 
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_library_is_prepare_plus_one_draw(self, mode):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            psi = random_qubit(rng)
-            run = Teleportation(psi, mode)
+            run = Teleportation(random_qubit(rng), mode)
             np.testing.assert_array_equal(run.probabilities, partial_probabilities(
                 bell_basis_observable(), 0, run.psi))
             np.testing.assert_allclose(run.probabilities, born_probabilities(
                 lifted_bell_observable(), run.psi), rtol=0, atol=1e-12)
-            for seed in range(8):
-                idx = run.draw(np.random.default_rng(seed))
-                assert_same_result(run.branch(idx), teleport(psi, mode, np.random.default_rng(seed)))
-            for kind in BellKind:
-                assert_same_result(run.branch(kind.value), teleport(psi, mode, force_outcome=kind))
-
-    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
-    def test_each_branch_is_built_once(self, mode):
-        run = Teleportation(random_qubit(np.random.default_rng(32)), mode)
-        first = [run.branch(kind.value) for kind in BellKind]
-        assert all(a is run.branch(kind.value) for a, kind in zip(first, BellKind))
-        assert [r.outcome_kind for r in first] == list(BellKind)
 
     def test_branches_match_lifted_reference(self):
-        """Every forced branch agrees with the dense lifted observable: Bob's
+        """Every branch agrees with the dense lifted observable: Bob's
         state is the Bell factor contracted out of its Lueders post-state,
         and the strict rank is its eigenvalue's multiplicity under `eigh`."""
         rng = np.random.default_rng(41)
@@ -250,12 +229,13 @@ class TestTeleportation:
                 assert ref.eigenvalue == pytest.approx(kind.value, abs=1e-12)
                 bob = bell_state(kind).amplitudes.conj() @ ref.post_state.amplitudes.reshape(4, 2)
                 res = lueders.branch(kind.value)
-                assert res.probability == pytest.approx(ref.probability, abs=1e-12)
+                p = lueders.probabilities[kind.value]
+                assert p == pytest.approx(ref.probability, abs=1e-12)
                 assert phase_equal(res.bob_state_before_correction,
                                    StateVector(bob / np.linalg.norm(bob)), 1e-10)
                 mult = lifted.decomposition.multiplicities[kind.value]
                 assert strict.outcome(kind.value, STRICT).projector_rank == mult
-                assert strict.branch(kind.value).blocked.multiplicities[kind.value] == mult
+                assert strict.blocked.multiplicities[kind.value] == mult
 
     def test_strict_verdict_needs_no_merged_eigenvalues(self, monkeypatch):
         """With no eigenvalue merging at all, the dense 8x8 `eigh` splits
@@ -266,8 +246,9 @@ class TestTeleportation:
         monkeypatch.setattr(protocols, "bell_basis_observable", fresh)
         assert hilbert.spectral_decompose(lift(fresh(), 0, (4, 2))).multiplicities == (1,) * 8
         run = Teleportation(random_qubit(np.random.default_rng(42)), STRICT)
+        assert run.blocked == DegeneracyReport(8, 4, [2, 2, 2, 2])
         for kind in BellKind:
-            assert run.branch(kind.value).blocked == DegeneracyReport(8, 4, [2, 2, 2, 2])
+            assert run.branch(kind.value).bob_state_before_correction is None
 
     def test_rejects_wide_input(self):
         with pytest.raises(ValueError):
