@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -238,8 +237,7 @@ def simon_final_state(oracle: BooleanOracle) -> StateVector:
     return StateVector._owning(amps, (2,) * (2 * oracle.n))
 
 
-@dataclass
-class SimonResult:
+class SimonResult(NamedTuple):
     period: int
     samples: list
 

@@ -1,18 +1,17 @@
 """The `postulate-sim` command runners; each returns (payload dict, exit code).
 
-`cli.run` imports this module, and numpy and the engine with it, only once
-argv has parsed and passed its checks.
+`cli.run` imports this module, and numpy with it, once argv has parsed and
+passed its checks. Each runner imports its own engine module when it runs.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from collections import Counter
 
 import numpy as np
 
-from . import algorithms, kernels, protocols
+from . import kernels
 from .errors import EXIT_BLOCKED, EXIT_OK, PostulateSimError
 from .hilbert import Observable, StateVector
 from .measurement import RegisterReadout, SemanticsMode
@@ -65,6 +64,7 @@ def _entries(indices: list[int], entry) -> list:
 
 
 def _run_teleport(args) -> tuple[dict, int]:
+    from . import protocols
     psi = _input_qubit(args.alpha, args.beta)
     run = protocols.Teleportation(psi, SemanticsMode(args.mode))
     indices = _draws(run, args)
@@ -85,12 +85,13 @@ def _run_teleport(args) -> tuple[dict, int]:
         "born_probabilities": born,
         "outcomes": outcomes,
         "frequencies": {k: counts.get(k, 0) / args.trials for k in sorted(born)},
-        "blocked": None if blocked is None else dataclasses.asdict(blocked),
+        "blocked": None if blocked is None else blocked._asdict(),
     }
     return payload, EXIT_OK if blocked is None else EXIT_BLOCKED
 
 
-def _dj_oracle(args) -> algorithms.BooleanOracle:
+def _dj_oracle(args):
+    from . import algorithms
     if args.oracle:
         return algorithms.load_oracle(args.oracle, "dj")
     if args.n is None:
@@ -101,6 +102,7 @@ def _dj_oracle(args) -> algorithms.BooleanOracle:
 
 
 def _run_dj(args) -> tuple[dict, int]:
+    from . import algorithms
     oracle = _dj_oracle(args)
     readout = algorithms.dj_readout(oracle)
     outcomes = _entries(_draws(readout, args), lambda z: {
@@ -116,6 +118,7 @@ def _run_dj(args) -> tuple[dict, int]:
 
 
 def _run_simon(args) -> tuple[dict, int]:
+    from . import algorithms
     if args.oracle:
         oracle = algorithms.load_oracle(args.oracle, "simon")
     else:
@@ -145,6 +148,7 @@ def _run_simon(args) -> tuple[dict, int]:
 
 
 def _run_grover(args) -> tuple[dict, int]:
+    from . import algorithms
     readout, marked = algorithms.grover_readout(args.n, args.marked)
     outcomes = _entries(_draws(readout, args), lambda idx: {"found": idx, "hit": idx in marked})
     payload = {

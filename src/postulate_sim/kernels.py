@@ -4,7 +4,7 @@ The Deutsch-Jozsa and Simon amplitudes are Walsh-Hadamard transforms of
 integer tables, computed by the fast transform (Fino & Algazi, IEEE Trans.
 Comput. C-25, 1976) in O(n 2^n) per column instead of a dense (2^n, 2^n)
 sign matrix. Every sum is an exact integer before the final division by 2^n,
-in int64 or, below 2^53, in float64.
+in int64 for DJ, in int16 for Simon (|sum| <= 2^n <= 256 under the cap).
 Simon's classical step, the GF(2) nullspace of the sampled constraints, works
 on rows bit-packed into Python ints. The CLI's random streams are numpy's,
 rebuilt bit for bit without `numpy.random`: the SeedSequence hash in uint32
@@ -21,9 +21,8 @@ from .errors import FullRank
 def _fwht(table: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 (length 2^n):
     out[z] = sum_x (-1)^popcount(x & z) table[x], by n in-place butterfly
-    passes. `table` is an int64 or float64 array, or a strided view of one
-    such as the real part of a complex array; it is overwritten with the
-    result and returned."""
+    passes. `table` is an integer array wide enough for every partial sum;
+    it is overwritten with the result and returned."""
     size = table.shape[0]
     h = 1
     while h < size:
@@ -45,13 +44,13 @@ def dj_argument_amplitudes(f_table: np.ndarray) -> np.ndarray:
 def simon_state_amplitudes(f_table: np.ndarray) -> np.ndarray:
     """Simon output amplitudes on (argument x function) registers, flattened:
     amp[j, v] = 2^-n * sum_{k : f(k) = v} (-1)^popcount(j & k), transformed
-    and divided in place in the real part of the complex128 result."""
+    in an int16 one-hot table and divided into the complex128 result."""
     size = len(f_table)
-    amps = np.zeros((size, size), dtype=np.complex128)
-    table = amps.real
+    table = np.zeros((size, size), dtype=np.int16)
     table[np.arange(size), f_table] = 1
     _fwht(table)
-    table /= size
+    amps = np.zeros((size, size), dtype=np.complex128)
+    np.divide(table, size, out=amps.real)
     return amps.reshape(-1)
 
 

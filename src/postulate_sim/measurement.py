@@ -305,6 +305,8 @@ class RegisterReadout(Sampler):
         self.probabilities.flags.writeable = False
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:
+        if not 0 <= idx < self.probabilities.size:
+            raise IndexOutOfRange(f"outcome index {idx} out of range")
         dec = self.decomposition
         if dec is None:  # the one column |idx>
             block = np.eye(self._mat.shape[1], 1, -idx, dtype=np.complex128)

@@ -11,9 +11,8 @@ itself blocked.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,15 +37,13 @@ class BellKind(enum.Enum):
         return (self.value >> 1, self.value & 1)
 
 
-@dataclass
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     dimension: int
     distinct_eigenvalues: int
     multiplicities: list[int]
 
 
-@dataclass
-class TeleportResult:
+class TeleportResult(NamedTuple):
     outcome_kind: BellKind
     bob_state_before_correction: Optional[StateVector]
     correction: str

@@ -306,9 +306,10 @@ class TestSimonState:
     @pytest.mark.parametrize("s", [1, 0b10110011, 0b11111111])
     def test_readout_at_cap_holds_one_state(self, s):
         """At n = 8 the state is 2^16 amplitudes, 1 MiB. The kernel transforms
-        in the state's own buffer, and the Born weights are squared in
-        blocks, so beside the state live only the transform's numpy buffers
-        (1.50 MiB with an int64 table, its float quotient and the copy)."""
+        a 128 KiB int16 table and divides it into the state's buffer, and the
+        Born weights are squared in blocks, so beside the state live only
+        that table and numpy's buffers (1.50 MiB with an int64 table, its
+        float quotient and the copy)."""
         oracle = alg.simon_oracle(8, s)
         assert traced_peak(lambda: alg.simon_final_state(oracle)) <= 1.25 * 2 ** 20
         assert traced_peak(lambda: alg.simon_readout(alg.simon_oracle(8, s))) <= 1.3 * 2 ** 20

@@ -550,9 +550,14 @@ def test_trial_streams_skip_numpy_random(argv, imported):
     assert err == f"{imported}\n"
 
 
+def load_probe(*modules):
+    """Child code that prints, on stderr at exit, which of `modules` it loaded."""
+    return ("import atexit; atexit.register(lambda: print(sorted(m for m in "
+            f"{modules!r} if m in sys.modules), file=sys.stderr)); ")
+
+
 # prints, at interpreter exit, which of numpy and the engine's base module loaded
-ENGINE_PROBE = ("import atexit; atexit.register(lambda: print(sorted(m for m in "
-                "('numpy', 'postulate_sim.hilbert') if m in sys.modules), file=sys.stderr)); ")
+ENGINE_PROBE = load_probe("numpy", "postulate_sim.hilbert")
 
 
 @pytest.mark.parametrize("argv,code,head", [
@@ -582,6 +587,24 @@ def test_usage_paths_skip_the_engine(capsys, monkeypatch, argv, code, head):
         lines = expected.err.splitlines()
         assert (exc.value.code, expected.out) == (1, "") and lines[0].startswith("usage: ")
         assert lines[-1].startswith(head) and sum(": error: " in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("teleport", "--trials", "3"), ["postulate_sim.protocols"]),
+    (("measure", "--trials", "3"), []),
+    (("dj", "--n", "3", "--trials", "3"), ["postulate_sim.algorithms"]),
+    (("simon", "--n", "3", "--period", "101", "--trials", "3"), ["postulate_sim.algorithms"]),
+    (("grover", "--n", "3", "--marked", "5", "--trials", "3"), ["postulate_sim.algorithms"]),
+], ids=["teleport", "measure", "dj", "simon", "grover"])
+def test_each_command_loads_only_its_engine(argv, loaded):
+    """No command runs both halves of the package: teleport and measure load
+    no `algorithms`, DJ, Simon and Grover no `protocols`, measure neither,
+    and no command loads `dataclasses`."""
+    probe = load_probe("dataclasses", "postulate_sim.algorithms", "postulate_sim.protocols")
+    code, out, err, _ = run_limited(probe + "from postulate_sim.cli import main; sys.exit(main())",
+                                    *argv)
+    assert (code, err) == (0, f"{loaded}\n")
+    assert len(json.loads(out)["outcomes"]) == 3
 
 
 def test_observable_choices_are_the_paulis():

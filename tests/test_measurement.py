@@ -780,6 +780,23 @@ class TestRegisterReadout:
         with pytest.raises(IndexOutOfRange):
             RegisterReadout(bell_state(BellKind.PHI_PLUS), 0).measure(LUEDERS, None, force_index=2)
 
+    @pytest.mark.parametrize("subsystem,a,size", [
+        (None, Observable(np.diag([0.0, 1.0, 2.0, 2.0])), 3),  # whole space
+        (1, SIGMA3, 2),                                        # local
+        (None, None, 4),                                       # computational basis
+    ], ids=["whole", "local", "computational"])
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_outcome_index_out_of_range(self, subsystem, a, size, mode):
+        """`outcome` takes only the index of an outcome, as a forced index does:
+        a negative one would wrap to the last outcome, and one past the end
+        would fail in numpy."""
+        readout = RegisterReadout(random_state(np.random.default_rng(4), 4, (2, 2)), subsystem, a)
+        assert readout.probabilities.size == size
+        assert readout.outcome(size - 1, mode).probability == readout.probabilities[-1]
+        for bad in (-1, size):
+            with pytest.raises(IndexOutOfRange):
+                readout.outcome(bad, mode)
+
 
 class TestOneReadout:
     """Every measurement projects onto the eigenspace of what is measured (von
