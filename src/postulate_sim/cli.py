@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 blocked by degeneracy
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import re
 import sys
@@ -109,6 +109,7 @@ def _config_echo(args) -> dict:
 
 
 def _dumps(value) -> str:
+    import json  # loaded only to encode a report
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 
 
@@ -152,6 +153,10 @@ def run(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        # run as the program: what exists before argv parses lives until exit, so
+        # no collection walks it again; a library call leaves its caller's collector
+        gc.freeze()
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error("--trials must be >= 1")

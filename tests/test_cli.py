@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -556,8 +557,9 @@ def load_probe(*modules):
             f"{modules!r} if m in sys.modules), file=sys.stderr)); ")
 
 
-# prints, at interpreter exit, which of numpy and the engine's base module loaded
-ENGINE_PROBE = load_probe("numpy", "postulate_sim.hilbert")
+# prints, at interpreter exit, which of numpy, the engine's base module and
+# the report encoder loaded
+ENGINE_PROBE = load_probe("json", "numpy", "postulate_sim.hilbert")
 
 
 @pytest.mark.parametrize("argv,code,head", [
@@ -572,8 +574,8 @@ ENGINE_PROBE = load_probe("numpy", "postulate_sim.hilbert")
     ((), 1, "postulate-sim: error: the following arguments are required: command"),
 ], ids=lambda v: "_".join(v) or "none" if isinstance(v, tuple) else None)
 def test_usage_paths_skip_the_engine(capsys, monkeypatch, argv, code, head):
-    """`--version`, help and usage errors end before numpy or the engine loads,
-    with the same exit code and output as in-process: the text on stdout, or
+    """`--version`, help and usage errors end before numpy, the engine or the
+    report encoder `json` loads, with the same exit code and output as in-process: the text on stdout, or
     the usage and then a one-line error on stderr."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     with pytest.raises(SystemExit) as exc:
@@ -587,6 +589,31 @@ def test_usage_paths_skip_the_engine(capsys, monkeypatch, argv, code, head):
         lines = expected.err.splitlines()
         assert (exc.value.code, expected.out) == (1, "") and lines[0].startswith("usage: ")
         assert lines[-1].startswith(head) and sum(": error: " in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("teleport", "--trials", "0"),
+    ("teleport", "--trials", "3"),
+], ids=lambda v: "_".join(v))
+def test_program_freezes_its_startup_state(capsys, monkeypatch, argv):
+    """Run as the program, `main` freezes the collector once the parser is
+    built, also on the paths where argparse exits; the output and exit code
+    are those of the in-process call, which leaves the caller's collector as
+    it found it."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    frozen = gc.get_freeze_count()
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.get_freeze_count() == frozen
+    expected = capsys.readouterr()
+    got = run_limited("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count(), "
+                      "file=sys.stderr)); from postulate_sim.cli import main; sys.exit(main())",
+                      *argv)
+    count = got[2].splitlines()[-1]
+    assert got[:3] == (code, expected.out, expected.err + count + "\n") and int(count) > 0
 
 
 @pytest.mark.parametrize("argv,loaded", [

@@ -5,11 +5,13 @@ eigenspace of the whole space; Lueders (1951) projects onto the eigenspace
 of any rank. Where the strict rule gives a post-state, both must agree.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from postulate_sim.measurement import SemanticsMode, measure, partial_measure
+from postulate_sim.measurement import (SemanticsMode, born_probabilities, measure,
+                                       partial_measure, partial_probabilities)
 from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
 from test_hilbert import phase_equal, planted_observable, random_state
 
@@ -61,6 +63,51 @@ def test_strict_collapse_iff_rank_one(case):
             assert phase_equal(strict.post_state, lueders.post_state, 1e-10)
         else:
             assert phase_equal(strict.lueders_post_state, lueders.post_state, 1e-10)
+
+
+def planted_readout(case):
+    """The random state of a `planted_cases` case, its Born vector under the
+    planted observable, and `measure(state, mode, rng, force_index)` of that
+    observable, on the whole space or on the case's subsystem."""
+    dims, subsystem, mults, seed = case
+    rng = np.random.default_rng(seed)
+    a, _ = planted_observable(rng, mults)
+    psi = random_state(rng, math.prod(dims), dims)
+    if subsystem is None:
+        return psi, born_probabilities(a, psi), partial(measure, a)
+    return psi, partial_probabilities(a, subsystem, psi), partial(partial_measure, a, subsystem)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases())
+def test_born_vector_and_draw_do_not_depend_on_the_mode(case):
+    """The Born vector is a distribution, every outcome carries its entry
+    under both semantics, and the same seeded stream draws the same outcomes
+    under both, never one of probability 0."""
+    psi, born, outcome = planted_readout(case)
+    assert np.all(born >= 0) and abs(born.sum() - 1) <= 1e-12
+    for idx, p in enumerate(born):
+        assert outcome(psi, STRICT, None, idx).probability == p
+        assert outcome(psi, LUEDERS, None, idx).probability == p
+    stream = {mode: np.random.default_rng(case[-1]) for mode in (STRICT, LUEDERS)}
+    for _ in range(20):
+        strict, lueders = (outcome(psi, mode, stream[mode]) for mode in (STRICT, LUEDERS))
+        assert strict.eigenvalue == lueders.eigenvalue and strict.probability > 0
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases())
+def test_lueders_post_state_is_repeatable(case):
+    """Every outcome of nonzero probability, forced in turn: the Lueders
+    post-state is a unit vector in its eigenspace, so measuring it again gives
+    the same outcome with probability 1 and leaves it as it is."""
+    psi, born, outcome = planted_readout(case)
+    for idx in np.flatnonzero(born):
+        post = outcome(psi, LUEDERS, None, int(idx)).post_state
+        again = outcome(post, LUEDERS, None, int(idx))
+        assert abs(np.linalg.norm(post.amplitudes) - 1) <= 1e-12
+        assert abs(again.probability - 1) <= 1e-12
+        assert phase_equal(again.post_state, post, 1e-12)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
