@@ -36,6 +36,19 @@ def planted_cases(draw):
     return dims, subsystem, mults, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def planted_readout(case):
+    """The planted observable and random state of a `planted_cases` case, the
+    state's Born vector, and `measure(state, mode, rng, force_index)` of the
+    observable, on the whole space or on the case's subsystem."""
+    dims, subsystem, mults, seed = case
+    rng = np.random.default_rng(seed)
+    a, _ = planted_observable(rng, mults)
+    psi = random_state(rng, math.prod(dims), dims)
+    if subsystem is None:
+        return a, psi, born_probabilities(a, psi), partial(measure, a)
+    return a, psi, partial_probabilities(a, subsystem, psi), partial(partial_measure, a, subsystem)
+
+
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(planted_cases())
 def test_strict_collapse_iff_rank_one(case):
@@ -43,20 +56,11 @@ def test_strict_collapse_iff_rank_one(case):
     multiplicity times the rest dimension; strict von Neumann gives a
     post-state iff that rank is 1, and it is then the Lueders state up to
     phase."""
-    dims, subsystem, mults, seed = case
-    rng = np.random.default_rng(seed)
-    a, _ = planted_observable(rng, mults)
-    psi = random_state(rng, math.prod(dims), dims)
-    rest = psi.dim // a.dim
-
-    def outcome(mode, idx):
-        if subsystem is None:
-            return measure(a, psi, mode, None, force_index=idx)
-        return partial_measure(a, subsystem, psi, mode, None, force_index=idx)
-
+    a, psi, _, outcome = planted_readout(case)
+    mults, rest = case[2], psi.dim // a.dim
     assert a.decomposition.multiplicities == mults
     for idx, mult in enumerate(mults):
-        strict, lueders = outcome(STRICT, idx), outcome(LUEDERS, idx)
+        strict, lueders = (outcome(psi, mode, None, idx) for mode in (STRICT, LUEDERS))
         assert strict.projector_rank == lueders.projector_rank == mult * rest
         assert strict.determined == (strict.post_state is not None) == (mult * rest == 1)
         if strict.determined:
@@ -65,26 +69,13 @@ def test_strict_collapse_iff_rank_one(case):
             assert phase_equal(strict.lueders_post_state, lueders.post_state, 1e-10)
 
 
-def planted_readout(case):
-    """The random state of a `planted_cases` case, its Born vector under the
-    planted observable, and `measure(state, mode, rng, force_index)` of that
-    observable, on the whole space or on the case's subsystem."""
-    dims, subsystem, mults, seed = case
-    rng = np.random.default_rng(seed)
-    a, _ = planted_observable(rng, mults)
-    psi = random_state(rng, math.prod(dims), dims)
-    if subsystem is None:
-        return psi, born_probabilities(a, psi), partial(measure, a)
-    return psi, partial_probabilities(a, subsystem, psi), partial(partial_measure, a, subsystem)
-
-
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(planted_cases())
 def test_born_vector_and_draw_do_not_depend_on_the_mode(case):
     """The Born vector is a distribution, every outcome carries its entry
     under both semantics, and the same seeded stream draws the same outcomes
     under both, never one of probability 0."""
-    psi, born, outcome = planted_readout(case)
+    _, psi, born, outcome = planted_readout(case)
     assert np.all(born >= 0) and abs(born.sum() - 1) <= 1e-12
     for idx, p in enumerate(born):
         assert outcome(psi, STRICT, None, idx).probability == p
@@ -101,7 +92,7 @@ def test_lueders_post_state_is_repeatable(case):
     """Every outcome of nonzero probability, forced in turn: the Lueders
     post-state is a unit vector in its eigenspace, so measuring it again gives
     the same outcome with probability 1 and leaves it as it is."""
-    psi, born, outcome = planted_readout(case)
+    _, psi, born, outcome = planted_readout(case)
     for idx in np.flatnonzero(born):
         post = outcome(psi, LUEDERS, None, int(idx)).post_state
         again = outcome(post, LUEDERS, None, int(idx))
