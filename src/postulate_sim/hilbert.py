@@ -139,7 +139,6 @@ class Observable:
         self.matrix = mat
         self.dims = dims
         self._decomposition: SpectralDecomposition | None = None
-        self._readout = None  # (state, subsystem, RegisterReadout) of the last one-shot call
 
     @property
     def dim(self) -> int:

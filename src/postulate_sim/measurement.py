@@ -16,11 +16,10 @@ subsystem, degenerate or not (`partial_measure`), or one subsystem's
 computational basis, read without building the diagonal observable. It
 projects onto the eigenspace of the outcome and reads the rank of that
 projector: the multiplicity times the dimension of the rest of the system.
-A readout is prepared once per state: its Born vector is computed once, and
-every draw reuses one running sum (`Sampler`), whose `measure` builds the
-outcome of a drawn index. The one-shot functions (`measure`,
-`partial_measure` and the Born probabilities) reuse the last readout that
-the observable built while they are given the same state and subsystem.
+A readout is prepared once per state: its Born vector is computed once,
+every draw reuses one running sum (`Sampler`), and `outcome` builds the
+result of a drawn index. The one-shot functions (`measure`,
+`partial_measure` and the Born probabilities) prepare a readout per call.
 """
 from __future__ import annotations
 
@@ -119,18 +118,7 @@ class RefinementObservable:
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
-    return _readout(a, psi, None).probabilities
-
-
-def _readout(a: Observable, psi: StateVector, subsystem: Optional[int]) -> "RegisterReadout":
-    """The readout of `psi` in the eigenbasis of `a`, shared by the one-shot
-    calls: `a` holds the last one it built and reuses it for the same state
-    object and subsystem. A state is immutable and the slot keeps it alive,
-    so identity is a sound key; another state or subsystem replaces it."""
-    last = a._readout
-    if last is None or last[0] is not psi or last[1] != subsystem:
-        last = a._readout = (psi, subsystem, RegisterReadout(psi, subsystem, a))
-    return last[2]
+    return RegisterReadout(psi, None, a).probabilities
 
 
 class Sampler:
@@ -142,7 +130,7 @@ class Sampler:
     nonzero index. A draw takes anything with a `random()` method: a numpy
     `Generator`, or a stream of `kernels.trial_streams`. The one readout,
     `RegisterReadout`, builds the result of an index with `outcome(idx,
-    mode)`, and `measure` returns that result for a drawn or forced index.
+    mode)`.
     """
 
     def __init__(self, probabilities):
@@ -159,28 +147,16 @@ class Sampler:
             idx = int(nonzero[-1]) if nonzero.size else 0
         return idx
 
-    def choose(self, rng, force_index: Optional[int] = None) -> int:
-        """A drawn index, or `force_index` when one is given."""
-        if force_index is None:
-            return self.draw(rng)
-        if not 0 <= force_index < self.probabilities.size:
-            raise IndexOutOfRange(f"forced index {force_index} out of range")
-        return force_index
 
-    def measure(self, mode: SemanticsMode, rng,
-                force_index: Optional[int] = None) -> MeasurementOutcome:
-        """The `outcome` of a drawn index, or of `force_index` when one is given."""
-        return self.outcome(self.choose(rng, force_index), mode)
+def measure(a: Observable, psi: StateVector, mode: SemanticsMode,
+            rng: np.random.Generator) -> MeasurementOutcome:
+    """Sample one outcome of measuring `a` on `psi` under the given semantics."""
+    r = RegisterReadout(psi, None, a)
+    return r.outcome(r.draw(rng), mode)
 
 
-def measure(a: Observable, psi: StateVector, mode: SemanticsMode, rng: np.random.Generator,
-            force_index: Optional[int] = None) -> MeasurementOutcome:
-    """Sample one outcome of measuring `a` on `psi` under the given semantics.
-
-    `force_index` selects an eigenvalue deterministically (must have nonzero
-    probability); used for exhaustive branch coverage in tests and protocols.
-    """
-    return _readout(a, psi, None).measure(mode, rng, force_index)
+# the largest dense lift: a 16 MiB matrix, where 2^16 would take 64 GiB
+_LIFT_DIM = 2 ** 10
 
 
 def lift(a: Observable, subsystem: int, dims) -> Observable:
@@ -193,13 +169,16 @@ def lift(a: Observable, subsystem: int, dims) -> Observable:
     multiplicity times the dimension of the rest of the system, over the
     orthonormal columns |b> x v_j x |c> in j-major order, so each eigenspace
     is one contiguous column slice. The degeneracy of the lift is therefore
-    exact, whatever DEGEN_TOL.
+    exact, whatever DEGEN_TOL. A lifted dimension past 2^10 is refused.
     """
     dims = tuple(int(d) for d in dims)
     before, after = _split(dims, subsystem, a)
+    dim = before * a.dim * after
     # checked before the identities of the rest are allocated
-    if before * a.dim * after > MAX_DIM:
-        raise DimensionMismatch(f"total dimension {before * a.dim * after} exceeds cap {MAX_DIM}")
+    if dim > MAX_DIM:
+        raise DimensionMismatch(f"total dimension {dim} exceeds cap {MAX_DIM}")
+    if dim > _LIFT_DIM:
+        raise DimensionMismatch(f"lifted dimension {dim} exceeds the dense cap {_LIFT_DIM}")
     lifted = Observable(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims)
     dec = a.decomposition
     vectors = np.einsum("bB,ij,cC->bicjBC", np.eye(before), dec.vectors, np.eye(after))
@@ -221,7 +200,7 @@ def _split(dims, subsystem: int, a: Optional[Observable] = None) -> tuple[int, i
 
 def partial_probabilities(a: Observable, subsystem: int, psi: StateVector) -> np.ndarray:
     """Born probabilities of a local measurement: |(E_j x I) psi|^2 per eigenvalue."""
-    return _readout(a, psi, subsystem).probabilities
+    return RegisterReadout(psi, subsystem, a).probabilities
 
 
 def partial_measure(
@@ -230,11 +209,11 @@ def partial_measure(
     psi: StateVector,
     mode: SemanticsMode,
     rng: np.random.Generator,
-    force_index: Optional[int] = None,
 ) -> MeasurementOutcome:
     """Measure a local observable on one subsystem: the `RegisterReadout` of
     that subsystem in the eigenbasis of `a`."""
-    return _readout(a, psi, subsystem).measure(mode, rng, force_index)
+    r = RegisterReadout(psi, subsystem, a)
+    return r.outcome(r.draw(rng), mode)
 
 
 # the most squared weights `_rest_sums` holds at once, unless one level has more
@@ -301,7 +280,7 @@ class RegisterReadout(Sampler):
         else:
             weights = _rest_sums(self._mat)
         super().__init__(weights if a is None else np.bincount(a.decomposition.labels, weights))
-        # the one-shot calls hand out this vector from a shared readout
+        # read-only: `draw` caches the running sum of this vector on its first draw
         self.probabilities.flags.writeable = False
 
     def outcome(self, idx: int, mode: SemanticsMode) -> MeasurementOutcome:

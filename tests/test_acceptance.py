@@ -13,10 +13,10 @@ from postulate_sim import algorithms as alg
 from postulate_sim import cli
 from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import (
+    RegisterReadout,
     SemanticsMode,
     born_probabilities,
     build_refinement,
-    measure,
     partial_measure,
     partial_probabilities,
 )
@@ -89,9 +89,9 @@ def test_criterion_02_four_branch_collapse_table():
             BellKind.PSI_PLUS: [beta, alpha],
             BellKind.PSI_MINUS: [-beta, alpha],
         }
+        readout = RegisterReadout(total, None, lifted_bell_observable())
         for kind, bob in listing.items():
-            out = measure(lifted_bell_observable(), total, LUEDERS, None,
-                          force_index=kind.value)
+            out = readout.outcome(kind.value, LUEDERS)
             expected = tensor_state(
                 bell_state(kind), StateVector(np.array(bob) / np.linalg.norm(bob))
             ).reshaped((4, 2))

@@ -62,12 +62,12 @@ def simon_trial(oracle, rng, max_samples=50):
 
 
 def assert_mode_independent(readout, seeds):
-    """At each seed, `measure` draws the same eigenvalue under both semantics,
-    and it is the index that `draw` gives."""
+    """At each seed, the drawn outcome has the same eigenvalue under both
+    semantics, and it is the index that `draw` gives."""
     for seed in seeds:
-        rng = lambda: np.random.default_rng(seed)
-        assert readout.measure(LUEDERS, rng()).eigenvalue == \
-            readout.measure(STRICT, rng()).eigenvalue == readout.draw(rng())
+        idx = readout.draw(np.random.default_rng(seed))
+        assert readout.outcome(idx, LUEDERS).eigenvalue == \
+            readout.outcome(idx, STRICT).eigenvalue == idx
 
 
 def simon_amplitudes_brute(table):

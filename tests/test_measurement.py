@@ -179,7 +179,7 @@ class TestMeasure:
         alpha, beta = 0.6, 0.8
         psi = tensor_state(StateVector([alpha, beta]), bell_state(BellKind.PHI_PLUS))
         lifted = tensor_op(bell_basis_observable(), IDENTITY2)
-        out = measure(lifted, psi, LUEDERS, None, force_index=BellKind.PHI_MINUS.value)
+        out = RegisterReadout(psi, None, lifted).outcome(BellKind.PHI_MINUS.value, LUEDERS)
         expected = tensor_state(bell_state(BellKind.PHI_MINUS), StateVector([alpha, -beta]))
         assert phase_equal(out.post_state.reshaped(expected.dims), expected, 1e-10)
 
@@ -219,8 +219,7 @@ class TestMeasure:
             assert not out.determined
 
     def test_strict_post_state_phase_convention(self):
-        out = measure(SIGMA3, StateVector([-INV_SQRT2, INV_SQRT2]), STRICT,
-                      None, force_index=1)
+        out = RegisterReadout(StateVector([-INV_SQRT2, INV_SQRT2]), None, SIGMA3).outcome(1, STRICT)
         amp = out.post_state.amplitudes[np.abs(out.post_state.amplitudes) > 1e-12][0]
         assert amp.imag == pytest.approx(0.0, abs=1e-12)
         assert amp.real > 0
@@ -273,9 +272,9 @@ class TestLift:
         rng = np.random.default_rng(61)
         lifted = lift(planted_observable(rng, (1, 1, 1))[0], 1, (2, 3, 2))
         assert lifted.decomposition.multiplicities == (4, 4, 4)
-        psi = random_state(rng, 12, (2, 3, 2))
+        readout = RegisterReadout(random_state(rng, 12, (2, 3, 2)), None, lifted)
         for idx in range(3):
-            out = measure(lifted, psi, STRICT, None, force_index=idx)
+            out = readout.outcome(idx, STRICT)
             assert not out.determined and out.post_state is None
             assert out.projector_rank == 4
 
@@ -308,11 +307,22 @@ class TestLift:
             "except DimensionMismatch as exc:\n    print(exc)\n")
         assert (code, out, err) == (0, "total dimension 131072 exceeds cap 65536\n", "")
 
+    def test_dense_size_checked_before_allocation(self):
+        """16 qubits sit inside the 2^16 cap, but their dense lift would take
+        an 8 GiB identity and a 64 GiB product: `lift` refuses a matrix past
+        2^10 before it allocates either."""
+        code, out, err, _ = run_limited(
+            "from postulate_sim.errors import DimensionMismatch\n"
+            "from postulate_sim.hilbert import Observable\n"
+            "from postulate_sim.measurement import lift\n"
+            "try:\n    lift(Observable([[1, 0], [0, -1]]), 0, (2,) * 16)\n"
+            "except DimensionMismatch as exc:\n    print(exc)\n")
+        assert (code, out, err) == (0, "lifted dimension 65536 exceeds the dense cap 1024\n", "")
+
 
 class TestPartialMeasure:
     def test_bell_pair_branch(self):
-        out = partial_measure(SIGMA3, 0, bell_state(BellKind.PHI_PLUS), LUEDERS,
-                              None, force_index=1)  # eigenvalue +1
+        out = RegisterReadout(bell_state(BellKind.PHI_PLUS), 0, SIGMA3).outcome(1, LUEDERS)  # +1
         assert out.eigenvalue == pytest.approx(1.0)
         assert out.probability == pytest.approx(0.5, abs=1e-12)
         expected = StateVector([1, 0, 0, 0], (2, 2))
@@ -335,10 +345,10 @@ class TestPartialMeasure:
         lifted = lift(degenerate, 0, (4, 2))
         np.testing.assert_allclose(partial_probabilities(degenerate, 0, psi),
                                    born_probabilities(lifted, psi), atol=1e-12)
+        local, whole = RegisterReadout(psi, 0, degenerate), RegisterReadout(psi, None, lifted)
         for idx in range(2):
-            strict = partial_measure(degenerate, 0, psi, STRICT, None, force_index=idx)
-            lueders = partial_measure(degenerate, 0, psi, LUEDERS, None, force_index=idx)
-            ref = measure(lifted, psi, LUEDERS, None, force_index=idx)
+            strict, lueders = local.outcome(idx, STRICT), local.outcome(idx, LUEDERS)
+            ref = whole.outcome(idx, LUEDERS)
             assert strict.projector_rank == lueders.projector_rank == ref.projector_rank == 4
             assert not strict.determined and strict.post_state is None
             assert strict.subsystem_post_state is None
@@ -347,7 +357,7 @@ class TestPartialMeasure:
 
     def test_strict_mode_reports_subsystem_state_only(self):
         psi = bell_state(BellKind.PHI_PLUS)
-        out = partial_measure(SIGMA3, 0, psi, STRICT, None, force_index=0)
+        out = RegisterReadout(psi, 0, SIGMA3).outcome(0, STRICT)
         assert not out.determined
         assert out.post_state is None
         assert out.subsystem_post_state is not None
@@ -363,7 +373,7 @@ class TestPartialMeasure:
             psi = random_state(rng, int(d1 * d2), (int(d1), int(d2)))
             probs = partial_probabilities(a, 0, psi)
             idx = int(np.argmax(probs))
-            out = partial_measure(a, 0, psi, LUEDERS, rng, force_index=idx)
+            out = RegisterReadout(psi, 0, a).outcome(idx, LUEDERS)
             post = out.post_state.amplitudes
             # projecting the post-state again changes nothing
             projector = lifted_projector(out, (int(d1), int(d2)), 0)
@@ -542,18 +552,11 @@ class TestSampleIndex:
         sampler = Sampler(p)
         assert {sampler.draw(rng) for _ in range(200)} == {1, 3}
 
-    def test_choose_forces_or_draws(self):
-        sampler = Sampler([0.0, 1.0, 0.0])
-        assert sampler.choose(np.random.default_rng(1)) == 1
-        assert sampler.choose(None, force_index=2) == 2
-        for bad in (-1, 3):
-            with pytest.raises(IndexOutOfRange):
-                sampler.choose(None, force_index=bad)
-
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_readouts_draw_as_their_measure(self, mode):
-        """A readout's draw is the index its `measure` returns from the same
-        stream; in a local eigenbasis, draw and outcome are `partial_measure`'s."""
+        """A readout's draw from a stream is the index that `measure` reads
+        from the same stream; in a local eigenbasis, draw and outcome are
+        `partial_measure`'s."""
         rng = np.random.default_rng(21)
         psi = random_state(rng, 8, (2, 4))
         a = random_hermitian(rng, 8)
@@ -567,7 +570,7 @@ class TestSampleIndex:
         np.testing.assert_allclose(local.probabilities, born_probabilities(lifted, psi),
                                    atol=1e-12)
         for j in range(4):
-            got, ref = local.outcome(j, mode), measure(lifted, psi, mode, None, force_index=j)
+            got, ref = local.outcome(j, mode), RegisterReadout(psi, None, lifted).outcome(j, mode)
             assert got.projector_rank == ref.projector_rank == 2
             assert phase_equal(got.post_state or got.lueders_post_state,
                                ref.post_state or ref.lueders_post_state, 1e-10)
@@ -576,10 +579,10 @@ class TestSampleIndex:
             out = measure(a, psi, mode, np.random.default_rng(seed))
             assert out.eigenvalue == full.outcome(idx, mode).eigenvalue
             assert out.eigenvalue == a.decomposition.eigenvalues[idx]
-            assert register.draw(np.random.default_rng(seed)) == \
-                register.measure(mode, np.random.default_rng(seed)).eigenvalue
+            idx = register.draw(np.random.default_rng(seed))
+            assert register.outcome(idx, mode).eigenvalue == idx
             idx = local.draw(np.random.default_rng(seed))
-            got = local.measure(mode, np.random.default_rng(seed))
+            got = local.outcome(idx, mode)
             ref = partial_measure(a_local, 1, psi, mode, np.random.default_rng(seed))
             assert got.eigenvalue == ref.eigenvalue == a_local.decomposition.eigenvalues[idx]
             assert got.probability == ref.probability == local.probabilities[idx]
@@ -636,10 +639,12 @@ class TestRegisterReadout:
         readout = RegisterReadout(psi, subsystem)
         np.testing.assert_array_equal(readout.probabilities,
                                       partial_probabilities(dense, subsystem, psi))
-        for seed, force in enumerate([None] * 5 + list(range(dims[subsystem]))):
-            got = readout.measure(mode, np.random.default_rng(seed), force_index=force)
-            ref = partial_measure(dense, subsystem, psi, mode, np.random.default_rng(seed),
-                                  force_index=force)
+        drawn = [(readout.outcome(readout.draw(np.random.default_rng(seed)), mode),
+                  partial_measure(dense, subsystem, psi, mode, np.random.default_rng(seed)))
+                 for seed in range(5)]
+        reference = RegisterReadout(psi, subsystem, dense)
+        for got, ref in drawn + [(readout.outcome(idx, mode), reference.outcome(idx, mode))
+                                 for idx in range(dims[subsystem])]:
             assert got.eigenvalue == ref.eigenvalue
             assert got.probability == ref.probability
             assert got.determined == ref.determined == (mode is LUEDERS)
@@ -672,9 +677,11 @@ class TestRegisterReadout:
         dense = argument_observable(k)
         readout = RegisterReadout(psi, 0)
         np.testing.assert_array_equal(readout.probabilities, born_probabilities(dense, psi))
-        for seed, force in enumerate([None] * 5 + list(range(2 ** k))):
-            got = readout.measure(mode, np.random.default_rng(seed), force_index=force)
-            ref = measure(dense, psi, mode, np.random.default_rng(seed), force_index=force)
+        drawn = [(readout.outcome(readout.draw(np.random.default_rng(seed)), mode),
+                  measure(dense, psi, mode, np.random.default_rng(seed))) for seed in range(5)]
+        reference = RegisterReadout(psi, None, dense)
+        for got, ref in drawn + [(readout.outcome(idx, mode), reference.outcome(idx, mode))
+                                 for idx in range(2 ** k)]:
             assert got.eigenvalue == ref.eigenvalue
             assert got.probability == ref.probability
             assert got.determined and ref.determined
@@ -691,10 +698,9 @@ class TestRegisterReadout:
         # outcome of probability 0, as the dense `measure` does
         psi = StateVector(np.eye(4)[1], (4,))
         dense = argument_observable(2)
-        readout = RegisterReadout(psi, 0)
+        readout, reference = RegisterReadout(psi, 0), RegisterReadout(psi, None, dense)
         for idx in (0, 2, 3):
-            got = readout.measure(STRICT, None, force_index=idx)
-            ref = measure(dense, psi, STRICT, None, force_index=idx)
+            got, ref = readout.outcome(idx, STRICT), reference.outcome(idx, STRICT)
             assert got.probability == ref.probability == 0.0
             assert got.determined and ref.determined
             np.testing.assert_array_equal(got.post_state.amplitudes, np.eye(4)[idx])
@@ -707,14 +713,14 @@ class TestRegisterReadout:
         psi = StateVector(np.eye(4)[1], (4,))
         readout = RegisterReadout(psi, None, argument_observable(2))
         for idx in (0, 2, 3):
-            got = readout.measure(STRICT, None, force_index=idx)
+            got = readout.outcome(idx, STRICT)
             assert got.probability == 0.0
             assert got.determined and got.projector_rank == 1
             np.testing.assert_array_equal(got.post_state.amplitudes, np.eye(4)[idx])
             np.testing.assert_array_equal(got.subsystem_post_state.amplitudes, np.eye(4)[idx])
             assert got.lueders_post_state is None
             # Lueders projects psi to 0, so it has no post-state to give
-            assert readout.measure(LUEDERS, None, force_index=idx).post_state is None
+            assert readout.outcome(idx, LUEDERS).post_state is None
 
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_whole_space_subsystem_post_state(self, mode):
@@ -755,7 +761,7 @@ class TestRegisterReadout:
                                (None, nonzero), (None, zero)]:
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                out = readout.measure(mode, rng, force_index=force)
+                out = readout.outcome(readout.draw(rng) if force is None else force, mode)
                 read = {name: getattr(out, name) for name in dir(out) if not name.startswith("_")}
                 peak = tracemalloc.get_traced_memory()[1] - start
                 assert peak < 1.1 * 2 ** 20
@@ -776,9 +782,19 @@ class TestRegisterReadout:
         with pytest.raises(IndexOutOfRange):
             RegisterReadout(bell_state(BellKind.PHI_PLUS), 2)
 
-    def test_forced_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            RegisterReadout(bell_state(BellKind.PHI_PLUS), 0).measure(LUEDERS, None, force_index=2)
+    def test_born_vector_is_read_only(self):
+        """`draw` caches the running sum of the Born vector on its first draw,
+        so no write may change the vector under it."""
+        rng = np.random.default_rng(79)
+        psi = random_state(rng, 8, (2, 4))
+        a, b = random_hermitian(rng, 8), planted_observable(rng, (1, 1, 1, 1))[0]
+        for probabilities in (RegisterReadout(psi, None, a).probabilities,
+                              RegisterReadout(psi, 1, b).probabilities,
+                              RegisterReadout(psi, 1).probabilities,
+                              born_probabilities(a, psi), partial_probabilities(b, 1, psi)):
+            assert not probabilities.flags.writeable
+            with pytest.raises(ValueError):
+                probabilities[0] = 1.0
 
     @pytest.mark.parametrize("subsystem,a,size", [
         (None, Observable(np.diag([0.0, 1.0, 2.0, 2.0])), 3),  # whole space
@@ -787,9 +803,8 @@ class TestRegisterReadout:
     ], ids=["whole", "local", "computational"])
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_outcome_index_out_of_range(self, subsystem, a, size, mode):
-        """`outcome` takes only the index of an outcome, as a forced index does:
-        a negative one would wrap to the last outcome, and one past the end
-        would fail in numpy."""
+        """`outcome` takes only the index of an outcome: a negative one would
+        wrap to the last outcome, and one past the end would fail in numpy."""
         readout = RegisterReadout(random_state(np.random.default_rng(4), 4, (2, 2)), subsystem, a)
         assert readout.probabilities.size == size
         assert readout.outcome(size - 1, mode).probability == readout.probabilities[-1]
@@ -887,27 +902,12 @@ class TestOneReadout:
         check()
 
 
-class TestOneShotReadout:
-    """`measure`, `partial_measure` and the Born probabilities reuse the last
-    readout that the observable built, for the same state object and
-    subsystem, and build a new one otherwise."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """(state, subsystem) of every RegisterReadout constructed."""
-        built = []
-        init = RegisterReadout.__init__
-
-        def counting(self, psi, subsystem, a=None):
-            built.append((psi, subsystem))
-            init(self, psi, subsystem, a)
-
-        monkeypatch.setattr(RegisterReadout, "__init__", counting)
-        return built
-
     @pytest.mark.parametrize("kind", ["whole", "lifted", "local"])
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
-    def test_repeated_measures_share_one_readout(self, built, kind, mode):
+    def test_one_shot_calls_draw_as_one_readout(self, kind, mode):
+        """Repeated `measure` or `partial_measure` calls on one state, each on
+        a readout of its own, give what one prepared readout gives from the
+        same stream."""
         rng = np.random.default_rng(67)
         psi = random_state(rng, 16, (4, 4))
         local = planted_observable(rng, (1, 1, 1, 1))[0]
@@ -922,9 +922,8 @@ class TestOneShotReadout:
 
         got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = [one_shot(got_rng) for _ in range(50)]
-        assert built == [(psi, subsystem)]
-        ref = [RegisterReadout(psi, subsystem, a).measure(mode, ref_rng) for _ in range(50)]
-        assert len(built) == 51
+        readout = RegisterReadout(psi, subsystem, a)
+        ref = [readout.outcome(readout.draw(ref_rng), mode) for _ in range(50)]
         assert len({out.eigenvalue for out in got}) > 1
         for g, r in zip(got, ref):
             assert g.eigenvalue == r.eigenvalue
@@ -933,33 +932,3 @@ class TestOneShotReadout:
             assert g.projector_rank == r.projector_rank
             assert_same_state(g.post_state, r.post_state)
             assert_same_state(g.lueders_post_state, r.lueders_post_state)
-
-    def test_born_calls_share_the_readout(self, built):
-        rng = np.random.default_rng(79)
-        psi = random_state(rng, 8, (2, 4))
-        a, b = random_hermitian(rng, 8), planted_observable(rng, (1, 1, 1, 1))[0]
-        probabilities = born_probabilities(a, psi)
-        assert born_probability(a, 2, psi) == probabilities[2]
-        measure(a, psi, LUEDERS, None, force_index=int(np.argmax(probabilities)))
-        assert born_probabilities(a, psi) is probabilities
-        assert not probabilities.flags.writeable
-        partial = partial_probabilities(b, 1, psi)
-        partial_measure(b, 1, psi, STRICT, rng)
-        assert built == [(psi, None), (psi, 1)]
-        np.testing.assert_array_equal(partial, RegisterReadout(psi, 1, b).probabilities)
-
-    def test_new_state_or_subsystem_rebuilds(self, built):
-        rng = np.random.default_rng(83)
-        psi, other = random_state(rng, 8, (2, 2, 2)), random_state(rng, 8, (2, 2, 2))
-        twin = psi.reshaped(psi.dims)  # the same amplitudes in another state object
-        a = planted_observable(rng, (1, 1))[0]
-        calls = [(psi, 0), (psi, 0), (psi, 1), (psi, 1), (psi, 0), (twin, 0), (twin, 0),
-                 (other, 0), (other, 2), (psi, 2)]
-        rebuilt = []
-        for state, subsystem in calls:
-            count = len(built)
-            probabilities = partial_probabilities(a, subsystem, state)
-            rebuilt.append(len(built) > count)
-            np.testing.assert_array_equal(probabilities,
-                                          RegisterReadout(state, subsystem, a).probabilities)
-        assert rebuilt == [True, False, True, False, True, True, False, True, True, True]

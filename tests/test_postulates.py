@@ -5,13 +5,12 @@ eigenspace of the whole space; Lueders (1951) projects onto the eigenspace
 of any rank. Where the strict rule gives a post-state, both must agree.
 """
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
-from postulate_sim.measurement import (SemanticsMode, born_probabilities, measure,
-                                       partial_measure, partial_probabilities)
+from postulate_sim.hilbert import Observable, StateVector
+from postulate_sim.measurement import RegisterReadout, SemanticsMode
 from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
 from test_hilbert import phase_equal, planted_observable, random_state
 
@@ -37,16 +36,14 @@ def planted_cases(draw):
 
 
 def planted_readout(case):
-    """The planted observable and random state of a `planted_cases` case, the
-    state's Born vector, and `measure(state, mode, rng, force_index)` of the
-    observable, on the whole space or on the case's subsystem."""
+    """The planted observable and random state of a `planted_cases` case, and
+    `read(state)`, the `RegisterReadout` of a state in the observable's
+    eigenbasis, on the whole space or on the case's subsystem."""
     dims, subsystem, mults, seed = case
     rng = np.random.default_rng(seed)
     a, _ = planted_observable(rng, mults)
     psi = random_state(rng, math.prod(dims), dims)
-    if subsystem is None:
-        return a, psi, born_probabilities(a, psi), partial(measure, a)
-    return a, psi, partial_probabilities(a, subsystem, psi), partial(partial_measure, a, subsystem)
+    return a, psi, lambda state: RegisterReadout(state, subsystem, a)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -56,11 +53,11 @@ def test_strict_collapse_iff_rank_one(case):
     multiplicity times the rest dimension; strict von Neumann gives a
     post-state iff that rank is 1, and it is then the Lueders state up to
     phase."""
-    a, psi, _, outcome = planted_readout(case)
-    mults, rest = case[2], psi.dim // a.dim
+    a, psi, read = planted_readout(case)
+    mults, rest, readout = case[2], psi.dim // a.dim, read(psi)
     assert a.decomposition.multiplicities == mults
     for idx, mult in enumerate(mults):
-        strict, lueders = (outcome(psi, mode, None, idx) for mode in (STRICT, LUEDERS))
+        strict, lueders = (readout.outcome(idx, mode) for mode in (STRICT, LUEDERS))
         assert strict.projector_rank == lueders.projector_rank == mult * rest
         assert strict.determined == (strict.post_state is not None) == (mult * rest == 1)
         if strict.determined:
@@ -75,14 +72,17 @@ def test_born_vector_and_draw_do_not_depend_on_the_mode(case):
     """The Born vector is a distribution, every outcome carries its entry
     under both semantics, and the same seeded stream draws the same outcomes
     under both, never one of probability 0."""
-    _, psi, born, outcome = planted_readout(case)
+    _, psi, read = planted_readout(case)
+    readout = read(psi)
+    born = readout.probabilities
     assert np.all(born >= 0) and abs(born.sum() - 1) <= 1e-12
     for idx, p in enumerate(born):
-        assert outcome(psi, STRICT, None, idx).probability == p
-        assert outcome(psi, LUEDERS, None, idx).probability == p
+        assert readout.outcome(idx, STRICT).probability == p
+        assert readout.outcome(idx, LUEDERS).probability == p
     stream = {mode: np.random.default_rng(case[-1]) for mode in (STRICT, LUEDERS)}
     for _ in range(20):
-        strict, lueders = (outcome(psi, mode, stream[mode]) for mode in (STRICT, LUEDERS))
+        strict, lueders = (readout.outcome(readout.draw(stream[mode]), mode)
+                           for mode in (STRICT, LUEDERS))
         assert strict.eigenvalue == lueders.eigenvalue and strict.probability > 0
 
 
@@ -92,13 +92,53 @@ def test_lueders_post_state_is_repeatable(case):
     """Every outcome of nonzero probability, forced in turn: the Lueders
     post-state is a unit vector in its eigenspace, so measuring it again gives
     the same outcome with probability 1 and leaves it as it is."""
-    _, psi, born, outcome = planted_readout(case)
-    for idx in np.flatnonzero(born):
-        post = outcome(psi, LUEDERS, None, int(idx)).post_state
-        again = outcome(post, LUEDERS, None, int(idx))
+    _, psi, read = planted_readout(case)
+    readout = read(psi)
+    for idx in np.flatnonzero(readout.probabilities):
+        post = readout.outcome(int(idx), LUEDERS).post_state
+        again = read(post).outcome(int(idx), LUEDERS)
         assert abs(np.linalg.norm(post.amplitudes) - 1) <= 1e-12
         assert abs(again.probability - 1) <= 1e-12
         assert phase_equal(again.post_state, post, 1e-12)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases(), st.integers(0, 2))
+def test_local_outcome_pins_its_factor(case, k):
+    """Teleportation's argument in general form: a nondegenerate local `a` on
+    factor k of a system with a rest. Each outcome's projector |b_j><b_j| x I
+    has the rank of the rest, so strict von Neumann leaves every outcome
+    undetermined; its Lueders post-state still holds the factor at |b_j>,
+    so reading it again gives outcome j with probability 1."""
+    dims, _, _, seed = case
+    k %= len(dims)
+    rest = math.prod(dims) // dims[k]
+    hypothesis.assume(rest > 1)
+    rng = np.random.default_rng(seed)
+    a, planted = planted_observable(rng, (1,) * dims[k])
+    psi = random_state(rng, math.prod(dims), dims)
+    readout = RegisterReadout(psi, k, a)
+    for j, b in enumerate(planted):
+        strict = readout.outcome(j, STRICT)
+        assert not strict.determined and strict.post_state is None
+        assert strict.projector_rank == rest
+        again = RegisterReadout(strict.lueders_post_state, k, a).outcome(j, LUEDERS)
+        assert abs(again.probability - 1) <= 1e-12
+        assert phase_equal(again.subsystem_post_state, StateVector(b[:, 0]), 1e-12)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases(), st.sampled_from((1e-12, 1.0, 1e12)))
+def test_degeneracy_does_not_depend_on_units_or_basis(case, c):
+    """The multiplicities of a planted A are those of c U A U^dag for a
+    random unitary U at every scale c: the merge tolerance and the
+    Hermiticity check are both relative to the operator's largest entry."""
+    _, _, mults, seed = case
+    rng = np.random.default_rng(seed)
+    a, _ = planted_observable(rng, mults)
+    u = np.linalg.qr(rng.normal(size=(a.dim, a.dim)) + 1j * rng.normal(size=(a.dim, a.dim)))[0]
+    rotated = Observable(c * (u @ a.matrix @ u.conj().T))
+    assert rotated.decomposition.multiplicities == a.decomposition.multiplicities == mults
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)

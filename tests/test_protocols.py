@@ -6,10 +6,10 @@ import pytest
 from postulate_sim import hilbert, protocols
 from postulate_sim.hilbert import StateVector
 from postulate_sim.measurement import (
+    RegisterReadout,
     SemanticsMode,
     born_probabilities,
     lift,
-    measure,
     partial_probabilities,
 )
 from postulate_sim.protocols import (
@@ -225,7 +225,7 @@ class TestTeleportation:
             psi = random_qubit(rng)
             lueders, strict = Teleportation(psi, LUEDERS), Teleportation(psi, STRICT)
             for kind in BellKind:
-                ref = measure(lifted, lueders.psi, LUEDERS, None, force_index=kind.value)
+                ref = RegisterReadout(lueders.psi, None, lifted).outcome(kind.value, LUEDERS)
                 assert ref.eigenvalue == pytest.approx(kind.value, abs=1e-12)
                 bob = bell_state(kind).amplitudes.conj() @ ref.post_state.amplitudes.reshape(4, 2)
                 res = lueders.branch(kind.value)
