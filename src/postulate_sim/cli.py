@@ -144,6 +144,7 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 
 def run(args) -> tuple[dict, int]:
     # numpy and the engine load here, once argv has parsed and passed its checks
+    # (run as the program, `main` has loaded them already)
     from . import commands
     payload, code = commands.RUNNERS[args.command](args)
     report = {"schema": SCHEMA, "version": __version__, "config": _config_echo(args)}
@@ -164,6 +165,15 @@ def main(argv=None) -> int:
         # the report grows by up to about 1.3 KiB per trial
         parser.error(f"--trials must be <= {MAX_TRIALS}")
     try:
+        if argv is None:
+            # numpy and the engine load with the collector off and are frozen
+            # with the startup state; the run's own garbage is still collected
+            gc.disable()
+            try:
+                from . import commands
+                gc.freeze()
+            finally:
+                gc.enable()
         report, code = run(args)
         # allow_nan=False: a non-finite number is an error, not a report
         text = emit_report(report, args.format)

@@ -616,6 +616,58 @@ def test_program_freezes_its_startup_state(capsys, monkeypatch, argv):
     assert got[:3] == (code, expected.out, expected.err + count + "\n") and int(count) > 0
 
 
+# child code that prints, on stderr at exit, whether the collector is on and
+# how many objects it holds frozen, then runs the CLI as the program
+GC_PROBE = ("import atexit, gc; atexit.register(lambda: print(gc.isenabled(), "
+            "gc.get_freeze_count(), file=sys.stderr)); "
+            "from postulate_sim.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--trials", "3"),
+    ("measure", "--observable", "x", "--trials", "3"),
+    ("dj", "--n", "3", "--kind", "balanced", "--trials", "3"),
+    ("simon", "--n", "3", "--period", "101", "--trials", "3"),
+    ("grover", "--n", "3", "--marked", "5", "--trials", "3"),
+], ids=lambda v: v[0])
+def test_program_freezes_the_engine(capsys, argv):
+    """Run as the program, `main` loads numpy and the engine with the
+    collector off, freezes them, and turns the collector back on: at exit it
+    is on, and it holds more frozen than a `--version` run, which never loads
+    the engine. The output and exit code are those of the in-process call,
+    which leaves the caller's collector as it found it, here turned off."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.disable()
+    try:
+        code = cli.main(list(argv))
+        assert (gc.isenabled(), gc.get_freeze_count()) == (False, frozen)
+    finally:
+        if enabled:
+            gc.enable()
+    expected = capsys.readouterr()
+    version = run_limited(GC_PROBE, "--version")[2].split()
+    got = run_limited(GC_PROBE, *argv)
+    probe = got[2].splitlines()[-1]
+    assert got[:3] == (code, expected.out, expected.err + probe + "\n")
+    assert probe.startswith("True ") and int(probe.split()[1]) > int(version[-1])
+
+
+def test_memory_error_while_the_engine_loads():
+    """A MemoryError raised while the engine loads, run as the program, ends
+    as one from a runner does: one line naming the command, exit 1, no
+    traceback, and the collector back on at exit."""
+    finder = ("import sys\n"
+              "class Exhausted:\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name == 'postulate_sim.commands':\n"
+              "            raise MemoryError\n"
+              "sys.meta_path.insert(0, Exhausted())\n")
+    code, out, err, _ = run_limited(finder + GC_PROBE, "teleport", "--trials", "3")
+    *lines, probe = err.splitlines()
+    assert (code, out, lines) == (1, "", ["postulate-sim: error: out of memory in teleport"])
+    assert probe.startswith("True ")
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (("teleport", "--trials", "3"), ["postulate_sim.protocols"]),
     (("measure", "--trials", "3"), []),

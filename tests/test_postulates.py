@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from postulate_sim.hilbert import Observable, StateVector
-from postulate_sim.measurement import RegisterReadout, SemanticsMode
+from postulate_sim.measurement import RegisterReadout, SemanticsMode, build_refinement
 from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
 from test_hilbert import phase_equal, planted_observable, random_state
+from test_measurement import apply_map
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -100,6 +101,25 @@ def test_lueders_post_state_is_repeatable(case):
         assert abs(np.linalg.norm(post.amplitudes) - 1) <= 1e-12
         assert abs(again.probability - 1) <= 1e-12
         assert phase_equal(again.post_state, post, 1e-12)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases())
+def test_refinement_reads_the_degenerate_observable(case):
+    """Von Neumann's reading of a degenerate A: a nondegenerate C and a map f
+    with f(C) = A, so measuring C and applying f is measuring A. f applied to
+    C's own decomposition rebuilds A, and C's Born vector summed over each
+    preimage of f is A's Born vector."""
+    a, psi, read = planted_readout(case)
+    ref = build_refinement(a)
+    dec = ref.refined.decomposition
+    assert max(dec.multiplicities) == 1
+    np.testing.assert_allclose(apply_map(ref), a.matrix, rtol=0, atol=1e-9)
+    labels = [ref.value_map[int(round(ev))] for ev in dec.eigenvalues]
+    born = RegisterReadout(psi, case[1], ref.refined).probabilities
+    mapped = [sum(p for label, p in zip(labels, born) if label == ev)
+              for ev in a.decomposition.eigenvalues]
+    np.testing.assert_allclose(mapped, read(psi).probabilities, rtol=0, atol=1e-12)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
