@@ -55,6 +55,7 @@ class BooleanOracle:
         self.table = np.asarray(table, dtype=np.int64)
         self.kind = kind
         self.hidden_period: Optional[int] = None  # set by `BooleanOracle.simon`
+        self.is_constant: Optional[bool] = None  # set by `BooleanOracle.deutsch_jozsa`
         if self.table.shape != (2 ** self.n,):
             raise InvalidOracle(
                 f"expected {2 ** self.n} table entries for n={self.n}, got {self.table.shape}"
@@ -71,6 +72,7 @@ class BooleanOracle:
             raise InvalidOracle(
                 f"DJ oracle is neither constant nor balanced ({ones}/{t.size} ones)"
             )
+        oracle.is_constant = ones in (0, t.size)
         return oracle
 
     @classmethod
@@ -90,12 +92,6 @@ class BooleanOracle:
             raise InvalidOracle("Simon oracle is not exactly 2-to-1")
         oracle.hidden_period = s
         return oracle
-
-    @property
-    def is_constant(self) -> bool:
-        if self.kind != "dj":
-            raise InvalidOracle("is_constant only applies to DJ oracles")
-        return bool(np.all(self.table == self.table[0]))
 
 
 def constant_oracle(n: int, value: int = 0) -> BooleanOracle:

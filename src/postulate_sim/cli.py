@@ -142,16 +142,6 @@ def emit_report(report: dict, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(args) -> tuple[dict, int]:
-    # numpy and the engine load here, once argv has parsed and passed its checks
-    # (run as the program, `main` has loaded them already)
-    from . import commands
-    payload, code = commands.RUNNERS[args.command](args)
-    report = {"schema": SCHEMA, "version": __version__, "config": _config_echo(args)}
-    report.update(payload)
-    return report, code
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -174,7 +164,12 @@ def main(argv=None) -> int:
                 gc.freeze()
             finally:
                 gc.enable()
-        report, code = run(args)
+        # numpy and the engine load here, once argv has parsed and passed its
+        # checks (run as the program, they are loaded above already)
+        from . import commands
+        payload, code = commands.RUNNERS[args.command](args)
+        report = {"schema": SCHEMA, "version": __version__, "config": _config_echo(args),
+                  **payload}
         # allow_nan=False: a non-finite number is an error, not a report
         text = emit_report(report, args.format)
     except (PostulateSimError, OSError, ValueError) as exc:

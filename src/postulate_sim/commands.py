@@ -1,6 +1,6 @@
 """The `postulate-sim` command runners; each returns (payload dict, exit code).
 
-`cli.run` imports this module, and numpy with it, once argv has parsed and
+`cli.main` imports this module, and numpy with it, once argv has parsed and
 passed its checks. Each runner imports its own engine module when it runs.
 """
 from __future__ import annotations

@@ -9,6 +9,7 @@ degeneracy is an explicit, queryable property.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -138,17 +139,14 @@ class Observable:
             raise NotHermitian(f"max |M - M^dag| = {float(herm_defect)!r} exceeds {tol!r}")
         self.matrix = mat
         self.dims = dims
-        self._decomposition: SpectralDecomposition | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def decomposition(self) -> SpectralDecomposition:
-        if self._decomposition is None:
-            self._decomposition = spectral_decompose(self)
-        return self._decomposition
+        return spectral_decompose(self)
 
     def __repr__(self):
         return f"Observable(dim={self.dim}, dims={self.dims})"

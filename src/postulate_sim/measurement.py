@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,38 +70,32 @@ class MeasurementOutcome:
         self._dims = dims
         self._project = project
         self._eigenstate = eigenstate
-        self._state: Optional[StateVector] = None
-        self._subsystem_state: Optional[StateVector] = None
 
-    def _collapse(self) -> Optional[StateVector]:
-        # not a cached_property, whose first read takes a lock on Python 3.11;
-        # `_project` is dropped once the state is built
-        if self._project is not None:
-            if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
-                self._state = StateVector._owning(phase_normalize(self._eigenstate), self._dims)
-            else:
-                projected = self._project()
-                norm = np.linalg.norm(projected)
-                if norm > 0:
-                    projected /= norm
-                    self._state = StateVector._owning(projected, self._dims)
-            self._project = None
-        return self._state
+    @cached_property
+    def _state(self) -> Optional[StateVector]:
+        if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
+            return StateVector._owning(phase_normalize(self._eigenstate), self._dims)
+        projected = self._project()
+        norm = np.linalg.norm(projected)
+        # a NaN norm fails the test too, and gives no state
+        if norm > 0:
+            projected /= norm
+            return StateVector._owning(projected, self._dims)
+        return None
 
     @property
     def post_state(self) -> Optional[StateVector]:
-        return self._collapse() if self.determined else None
+        return self._state if self.determined else None
 
     @property
     def lueders_post_state(self) -> Optional[StateVector]:
-        return None if self.determined else self._collapse()
+        return None if self.determined else self._state
 
-    @property
+    @cached_property
     def subsystem_post_state(self) -> Optional[StateVector]:
-        if self._subsystem_state is None and self._eigenstate is not None:
-            self._subsystem_state = StateVector(phase_normalize(self._eigenstate),
-                                                (self._eigenstate.size,))
-        return self._subsystem_state
+        if self._eigenstate is None:
+            return None
+        return StateVector(phase_normalize(self._eigenstate), (self._eigenstate.size,))
 
     def __repr__(self):
         return (
@@ -109,12 +104,11 @@ class MeasurementOutcome:
         )
 
 
-class RefinementObservable:
+class RefinementObservable(NamedTuple):
     """Nondegenerate C with a value map f such that f(C) reconstructs A."""
 
-    def __init__(self, refined: Observable, value_map: dict[int, float]):
-        self.refined = refined
-        self.value_map = dict(value_map)
+    refined: Observable
+    value_map: dict[int, float]
 
 
 def born_probabilities(a: Observable, psi: StateVector) -> np.ndarray:
@@ -135,11 +129,12 @@ class Sampler:
 
     def __init__(self, probabilities):
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
-        self._running_sum: Optional[tuple[float, np.ndarray]] = None
+
+    @cached_property
+    def _running_sum(self) -> tuple[float, np.ndarray]:
+        return float(np.sum(self.probabilities)), np.cumsum(self.probabilities)
 
     def draw(self, rng: np.random.Generator) -> int:
-        if self._running_sum is None:
-            self._running_sum = float(np.sum(self.probabilities)), np.cumsum(self.probabilities)
         total, running = self._running_sum
         idx = int(np.searchsorted(running, rng.random() * total, side="right"))
         if idx == self.probabilities.size:
@@ -182,7 +177,8 @@ def lift(a: Observable, subsystem: int, dims) -> Observable:
     lifted = Observable(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims)
     dec = a.decomposition
     vectors = np.einsum("bB,ij,cC->bicjBC", np.eye(before), dec.vectors, np.eye(after))
-    lifted._decomposition = SpectralDecomposition(
+    # set on the instance, it shadows the cached property: no eigensolver runs
+    lifted.decomposition = SpectralDecomposition(
         dec.eigenvalues, vectors.reshape(lifted.dim, lifted.dim),
         [m * before * after for m in dec.multiplicities])
     return lifted

@@ -92,6 +92,20 @@ class TestOracles:
         with pytest.raises(InvalidOracle):
             alg.BooleanOracle.deutsch_jozsa(2, [0, 2, 0, 2])
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_is_constant_set_at_construction(self, n, tmp_path):
+        """A DJ oracle records its verdict from the count of ones it checks;
+        a Simon oracle has none."""
+        assert alg.constant_oracle(n, 0).is_constant is True
+        assert alg.constant_oracle(n, 1).is_constant is True
+        balanced = alg.balanced_oracle(n, np.random.default_rng(n))
+        assert balanced.is_constant is False
+        path = tmp_path / "oracle.txt"
+        for oracle in (balanced, alg.constant_oracle(n, 1)):
+            alg.save_oracle(oracle, path)
+            assert alg.load_oracle(path, "dj").is_constant is oracle.is_constant
+        assert alg.simon_oracle(n, 1).is_constant is None
+
     def test_simon_oracle_properties(self):
         o = alg.simon_oracle(3, 0b101, np.random.default_rng(1))
         assert o.hidden_period == 0b101

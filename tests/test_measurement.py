@@ -932,3 +932,67 @@ class TestOneReadout:
             assert g.projector_rank == r.projector_rank
             assert_same_state(g.post_state, r.post_state)
             assert_same_state(g.lueders_post_state, r.lueders_post_state)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper that counts its calls in the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestComputedOnce:
+    """Each lazy value of the engine is computed once, and only when read."""
+
+    def test_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        eigh = counting(monkeypatch, np.linalg, "eigh")
+        a = random_hermitian(rng, 4)
+        psi = random_state(rng, 8, (2, 4))
+        assert not eigh
+        dec = a.decomposition
+        assert a.decomposition is dec
+        for _ in range(2):
+            RegisterReadout(psi, 1, a).outcome(0, STRICT).lueders_post_state
+        assert len(eigh) == 1
+        lifted = lift(a, 1, (2, 4))
+        assert lifted.decomposition is lifted.decomposition
+        assert lifted.decomposition.multiplicities == (2, 2, 2, 2)
+        assert len(eigh) == 1
+
+    def test_running_sum(self, monkeypatch):
+        psi = random_state(np.random.default_rng(89), 8, (2, 4))
+        cumsum = counting(monkeypatch, np, "cumsum")
+        readout, undrawn = RegisterReadout(psi, 1), RegisterReadout(psi, 1)
+        rng = np.random.default_rng(0)
+        draws = [readout.draw(rng) for _ in range(10)]
+        assert len(cumsum) == 1 and len(set(draws)) > 1
+        undrawn.outcome(0, LUEDERS).post_state
+        assert len(cumsum) == 1
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_unread_outcome_at_cap_builds_no_state(self, mode):
+        """An outcome on 2^16 amplitudes holds its projection, not its 1 MiB
+        post-state, until a post-state is read."""
+        readout = alg.simon_readout(alg.simon_oracle(8, 0b10110011, np.random.default_rng(0)))
+        idx = readout.draw(np.random.default_rng(0))
+        assert traced_peak(lambda: readout.outcome(idx, mode)) < 64 * 2 ** 10
+
+    @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
+    def test_post_states_are_built_once(self, mode):
+        rng = np.random.default_rng(97)
+        psi = random_state(rng, 8, (2, 4))
+        local = RegisterReadout(psi, 1, planted_observable(rng, (1, 1, 1, 1))[0])
+        whole = RegisterReadout(psi, None, random_hermitian(rng, 8))
+        for out in (local.outcome(2, mode), whole.outcome(5, mode)):
+            states = [getattr(out, name) for name in
+                      ("post_state", "lueders_post_state", "subsystem_post_state")]
+            assert sum(state is not None for state in states) == 2
+            assert out.post_state is states[0]
+            assert out.lueders_post_state is states[1]
+            assert out.subsystem_post_state is states[2]

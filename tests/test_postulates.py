@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from postulate_sim.hilbert import Observable, StateVector
-from postulate_sim.measurement import RegisterReadout, SemanticsMode, build_refinement
+from postulate_sim.measurement import RegisterReadout, SemanticsMode, build_refinement, lift
 from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
 from test_hilbert import phase_equal, planted_observable, random_state
 from test_measurement import apply_map
@@ -145,6 +145,24 @@ def test_local_outcome_pins_its_factor(case, k):
         again = RegisterReadout(strict.lueders_post_state, k, a).outcome(j, LUEDERS)
         assert abs(again.probability - 1) <= 1e-12
         assert phase_equal(again.subsystem_post_state, StateVector(b[:, 0]), 1e-12)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(planted_cases().filter(lambda case: case[1] is not None))
+def test_local_readout_is_its_lift(case):
+    """Measuring a local `a` on factor k is measuring I x a x I on the whole
+    space: the same Born vector, projector ranks and strict verdicts, and
+    the same Lueders states up to phase."""
+    a, psi, read = planted_readout(case)
+    local, whole = read(psi), RegisterReadout(psi, None, lift(a, case[1], case[0]))
+    np.testing.assert_allclose(local.probabilities, whole.probabilities, rtol=0, atol=1e-12)
+    for idx in range(len(case[2])):
+        for mode in (STRICT, LUEDERS):
+            got, ref = local.outcome(idx, mode), whole.outcome(idx, mode)
+            assert got.projector_rank == ref.projector_rank
+            assert got.determined == ref.determined
+        got, ref = local.outcome(idx, LUEDERS), whole.outcome(idx, LUEDERS)
+        assert phase_equal(got.post_state, ref.post_state, 1e-10)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
