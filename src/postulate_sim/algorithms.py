@@ -210,7 +210,7 @@ def dj_final_state(oracle: BooleanOracle) -> StateVector:
         raise InvalidOracle("dj_final_state expects a DJ oracle")
     arg = kernels.dj_argument_amplitudes(oracle.table)
     # the two ancilla columns written straight into the state's one buffer
-    amps = np.empty(2 * arg.size, dtype=np.complex128)
+    amps = np.empty(2 * arg.size)
     np.multiply(arg, _INV_SQRT2, out=amps[0::2])
     np.multiply(arg, -_INV_SQRT2, out=amps[1::2])
     return StateVector._owning(amps, (2,) * (oracle.n + 1))
@@ -283,7 +283,5 @@ def grover_readout(n: int, marked) -> tuple[RegisterReadout, list[int]]:
     if marked[0] < 0 or marked[-1] >= size:
         raise InvalidMarkedSet(f"marked indices must lie in [0, {size})")
     iters = grover_iterations(n, len(marked))
-    # no name holds the float kernel array, so it is freed before the readout runs
-    state = StateVector(kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters),
-                        (size,))
-    return RegisterReadout(state, 0), marked
+    amps = kernels.grover_amplitudes(n, np.array(marked, dtype=np.int64), iters)
+    return RegisterReadout(StateVector._owning(amps, (size,)), 0), marked

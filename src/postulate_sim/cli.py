@@ -155,18 +155,27 @@ def main(argv=None) -> int:
         # the report grows by up to about 1.3 KiB per trial
         parser.error(f"--trials must be <= {MAX_TRIALS}")
     try:
-        if argv is None:
-            # numpy and the engine load with the collector off and are frozen
-            # with the startup state; the run's own garbage is still collected
-            gc.disable()
-            try:
-                from . import commands
-                gc.freeze()
-            finally:
-                gc.enable()
-        # numpy and the engine load here, once argv has parsed and passed its
-        # checks (run as the program, they are loaded above already)
-        from . import commands
+        try:
+            if argv is None:
+                # numpy and the engine load with the collector off and are frozen
+                # with the startup state; the run's own garbage is still collected
+                gc.disable()
+                try:
+                    from . import commands
+                    gc.freeze()
+                finally:
+                    gc.enable()
+            # numpy and the engine load here, once argv has parsed and passed its
+            # checks (run as the program, they are loaded above already)
+            from . import commands
+        except (ImportError, AttributeError) as exc:
+            # a failed load, such as numpy's under a low address-space limit;
+            # numpy wraps its cause in pages of advice, so the cause is reported
+            while exc.__cause__ is not None:
+                exc = exc.__cause__
+            print(f"postulate-sim: error: cannot load the engine: {' '.join(str(exc).split())}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         payload, code = commands.RUNNERS[args.command](args)
         report = {"schema": SCHEMA, "version": __version__, "config": _config_echo(args),
                   **payload}

@@ -1,9 +1,9 @@
 """Finite-dimensional Hilbert-space primitives.
 
-States are dense complex amplitude vectors over a composite space with
-declared subsystem dimensions (big-endian: leftmost factor is the most
-significant index).  Observables are Hermitian matrices carrying a cached
-spectral decomposition in which near-equal eigenvalues are merged, so
+States are dense float64 or complex128 amplitude vectors over a composite
+space with declared subsystem dimensions (big-endian: leftmost factor is the
+most significant index).  Observables are Hermitian matrices carrying a
+cached spectral decomposition in which near-equal eigenvalues are merged, so
 degeneracy is an explicit, queryable property.
 """
 from __future__ import annotations
@@ -45,17 +45,20 @@ def _state_dims(dims, size: int) -> tuple[int, ...]:
 
 class StateVector:
     """Normalized pure state over subsystems of the given dimensions; its
-    amplitudes are a read-only copy of the caller's, which `reshaped` shares."""
+    amplitudes are a read-only copy of the caller's, which `reshaped` shares:
+    float64 when they are real, else complex128."""
 
     __slots__ = ("amplitudes", "dims")
 
     def __init__(self, amplitudes, dims=None):
-        self._adopt(np.array(np.reshape(amplitudes, -1), dtype=np.complex128), dims)
+        amps = np.reshape(amplitudes, -1)
+        self._adopt(np.array(amps, dtype=complex if np.iscomplexobj(amps) else float), dims)
 
     @classmethod
     def _owning(cls, amps: np.ndarray, dims) -> "StateVector":
-        """A state over `amps`, a fresh 1-D complex128 array that no one else
-        holds: it becomes the read-only buffer, uncopied; the norm is checked."""
+        """A state over `amps`, a fresh 1-D float64 or complex128 array that
+        no one else holds: it becomes the read-only buffer, uncopied; the norm
+        is checked."""
         state = object.__new__(cls)
         state._adopt(amps, dims)
         return state

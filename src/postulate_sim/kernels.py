@@ -44,14 +44,12 @@ def dj_argument_amplitudes(f_table: np.ndarray) -> np.ndarray:
 def simon_state_amplitudes(f_table: np.ndarray) -> np.ndarray:
     """Simon output amplitudes on (argument x function) registers, flattened:
     amp[j, v] = 2^-n * sum_{k : f(k) = v} (-1)^popcount(j & k), transformed
-    in an int16 one-hot table and divided into the complex128 result."""
+    in an int16 one-hot table and divided into the float64 result."""
     size = len(f_table)
     table = np.zeros((size, size), dtype=np.int16)
     table[np.arange(size), f_table] = 1
     _fwht(table)
-    amps = np.zeros((size, size), dtype=np.complex128)
-    np.divide(table, size, out=amps.real)
-    return amps.reshape(-1)
+    return np.divide(table, size, dtype=np.float64).reshape(-1)
 
 
 def grover_amplitudes(n: int, marked: np.ndarray, iterations: int) -> np.ndarray:
@@ -61,7 +59,7 @@ def grover_amplitudes(n: int, marked: np.ndarray, iterations: int) -> np.ndarray
     amps = np.full(size, 1.0 / np.sqrt(size))
     for _ in range(iterations):
         amps[marked] *= -1.0
-        amps = 2.0 * amps.mean() - amps
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
     return amps
 
 

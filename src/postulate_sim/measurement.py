@@ -52,8 +52,9 @@ class MeasurementOutcome:
     The post-state is built on first read: the `eigenstate` under strict von
     Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
     the renormalized projection `project()`, or None when that is 0;
-    `project` returns a fresh array, which is divided in place and becomes
-    the state's buffer uncopied, as does the phase-normalized eigenstate. The
+    `project` returns a fresh array, float64 for a real state read in the
+    computational basis, which is divided in place and becomes the state's
+    buffer uncopied, as does the phase-normalized eigenstate, complex128. The
     eigenstate is the measured subsystem's basis vector, or for a whole-space
     observable the eigenvector of a one-dimensional eigenspace (None when the
     eigenspace is degenerate); `subsystem_post_state` reports it.
@@ -284,7 +285,7 @@ class RegisterReadout(Sampler):
             raise IndexOutOfRange(f"outcome index {idx} out of range")
         dec = self.decomposition
         if dec is None:  # the one column |idx>
-            block = np.eye(self._mat.shape[1], 1, -idx, dtype=np.complex128)
+            block = np.eye(self._mat.shape[1], 1, -idx, dtype=self._mat.dtype)
             eigenvalue, columns = float(idx), slice(idx, idx + 1)
         else:
             block, columns = dec.blocks[idx], dec.labels == idx

@@ -8,7 +8,7 @@ from postulate_sim import algorithms as alg
 from postulate_sim import kernels
 from postulate_sim.errors import DimensionMismatch, FullRank, InvalidMarkedSet, InvalidOracle
 from postulate_sim.hilbert import Observable, StateVector
-from postulate_sim.measurement import SemanticsMode, partial_probabilities
+from postulate_sim.measurement import RegisterReadout, SemanticsMode, partial_probabilities
 from test_hilbert import tensor_op, traced_peak
 
 LUEDERS = SemanticsMode.LUEDERS
@@ -255,20 +255,22 @@ class TestDeutschJozsa:
             np.testing.assert_allclose(arg.imag, 0, atol=1e-12)
 
     def test_final_state_at_cap_is_one_buffer(self):
-        """At n = 15 the state is 2^16 amplitudes, 1 MiB, written straight
-        into its buffer: beside it live only the 0.25 MiB argument amplitudes
-        (1.75 MiB with a float Kronecker product and its complex copy). The
-        amplitudes are the Kronecker product's to the last bit."""
+        """At n = 15 the state is 2^16 real amplitudes, 0.5 MiB, written
+        straight into its buffer: beside it live only the 0.25 MiB argument
+        amplitudes (1.25 MiB with a complex buffer, 1.75 MiB with a float
+        Kronecker product and its complex copy). The amplitudes are the
+        Kronecker product's to the last bit."""
         oracle = alg.constant_oracle(15, 0)
         state = alg.dj_final_state(oracle)
-        assert traced_peak(lambda: alg.dj_final_state(oracle)) < 1.4 * 2 ** 20
+        assert traced_peak(lambda: alg.dj_final_state(oracle)) < 0.8 * 2 ** 20
         # the readout adds the 0.25 MiB Born vector and one block of weights
-        # (1.75 MiB with the weights of the whole state squared at once)
-        assert traced_peak(lambda: alg.dj_readout(oracle)) <= 1.35 * 2 ** 20
+        # (1.32 MiB with a complex state, 1.75 MiB with the weights of the
+        # whole state squared at once)
+        assert traced_peak(lambda: alg.dj_readout(oracle)) <= 0.87 * 2 ** 20
         for oracle in (oracle, alg.balanced_oracle(12, kernels.seed_stream(3))):
             kron = np.kron(kernels.dj_argument_amplitudes(oracle.table), [INV_SQRT2, -INV_SQRT2])
             state = alg.dj_final_state(oracle)
-            assert state.amplitudes.tobytes() == kron.astype(np.complex128).tobytes()
+            assert state.amplitudes.tobytes() == kron.tobytes()
 
     def test_factorizes_across_ancilla_cut(self):
         rng = np.random.default_rng(12)
@@ -319,14 +321,15 @@ class TestSimonState:
 
     @pytest.mark.parametrize("s", [1, 0b10110011, 0b11111111])
     def test_readout_at_cap_holds_one_state(self, s):
-        """At n = 8 the state is 2^16 amplitudes, 1 MiB. The kernel transforms
-        a 128 KiB int16 table and divides it into the state's buffer, and the
-        Born weights are squared in blocks, so beside the state live only
-        that table and numpy's buffers (1.50 MiB with an int64 table, its
-        float quotient and the copy)."""
+        """At n = 8 the state is 2^16 real amplitudes, 0.5 MiB. The kernel
+        transforms a 128 KiB int16 table and divides it into the state's
+        buffer, and the Born weights are squared in blocks, so beside the
+        state live only that table and numpy's buffers (1.19 MiB with a
+        complex state, 1.50 MiB with an int64 table, its float quotient and
+        the copy)."""
         oracle = alg.simon_oracle(8, s)
-        assert traced_peak(lambda: alg.simon_final_state(oracle)) <= 1.25 * 2 ** 20
-        assert traced_peak(lambda: alg.simon_readout(alg.simon_oracle(8, s))) <= 1.3 * 2 ** 20
+        assert traced_peak(lambda: alg.simon_final_state(oracle)) <= 0.75 * 2 ** 20
+        assert traced_peak(lambda: alg.simon_readout(alg.simon_oracle(8, s))) <= 0.75 * 2 ** 20
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_outcome_support_is_dual_subspace(self, n):
@@ -465,13 +468,13 @@ class TestGrover:
                 alg.grover_readout(2, marked)
 
     def test_readout_at_cap_holds_one_state(self):
-        """At n = 16 the state is 2^16 amplitudes, 1 MiB: the kernel's
-        half-size float array is freed before the readout runs, and the Born
-        weights of the whole register are its Born vector, so the peak is
-        the state plus one half-size float array (2.00 MiB while the weights
-        were summed into a second array)."""
+        """At n = 16 the state is 2^16 real amplitudes, 0.5 MiB: the kernel's
+        array becomes the state's buffer uncopied, and the Born weights of the
+        whole register are its Born vector, so the peak is the state plus its
+        weights (1.50 MiB with a complex copy of the state, 2.00 MiB while
+        the weights were summed into a second array)."""
         alg.grover_readout(4, [3])  # first-call allocations are not the run's
-        assert traced_peak(lambda: alg.grover_readout(16, [3])) <= 1.55 * 2 ** 20
+        assert traced_peak(lambda: alg.grover_readout(16, [3])) <= 1.05 * 2 ** 20
 
     def test_mode_independent(self):
         readout, marked = alg.grover_readout(3, [5, 2, 5])
@@ -486,3 +489,57 @@ class TestPreparedReadouts:
         readout = alg.simon_readout(alg.simon_oracle(4, 0b11))
         with pytest.raises(ValueError, match="max_samples"):
             alg.simon_period(readout, 4, np.random.default_rng(0), 2)
+
+
+def _real_readout(kind, n):
+    if kind == "dj":
+        return alg.dj_readout(alg.balanced_oracle(n, kernels.seed_stream(n)))
+    if kind == "simon":
+        s = {2: 0b11, 5: 0b10110, 8: 0b10110011}[n]
+        return alg.simon_readout(alg.simon_oracle(n, s, np.random.default_rng(n)))
+    return alg.grover_readout(n, [5, 2 ** n - 3])[0]
+
+
+@pytest.mark.parametrize("kind,n", [("dj", 1), ("dj", 4), ("dj", 10), ("dj", 15), ("simon", 2),
+                                    ("simon", 5), ("simon", 8), ("grover", 3), ("grover", 10),
+                                    ("grover", 16)])
+def test_real_state_reads_as_its_complex_copy(kind, n):
+    """The algorithm states are real, 8 B per amplitude, and read out bit for
+    bit as their complex128 copies do: the Born vector, the draws, each
+    outcome and its projection under both semantics. The post-states, with
+    zero imaginary parts, agree within two ulps: numpy divides a complex
+    projection by its norm through the norm's reciprocal, a real one
+    directly."""
+    readout = _real_readout(kind, n)
+    psi = readout.psi
+    assert psi.amplitudes.dtype == np.float64
+    copy = RegisterReadout(StateVector(psi.amplitudes.astype(np.complex128), psi.dims), 0)
+    assert copy.psi.amplitudes.dtype == np.complex128
+    assert readout.probabilities.tobytes() == copy.probabilities.tobytes()
+    draws = [readout.draw(rng) for rng in kernels.trial_streams(7, 50)]
+    assert draws == [copy.draw(rng) for rng in kernels.trial_streams(7, 50)]
+    for idx in list(dict.fromkeys(draws))[:5]:
+        for mode in (LUEDERS, STRICT):
+            real, cplx = readout.outcome(idx, mode), copy.outcome(idx, mode)
+            if mode is LUEDERS:  # the projection stays real
+                assert real.post_state.amplitudes.dtype == np.float64
+            assert (real.eigenvalue, real.probability, real.projector_rank, real.determined) == \
+                (cplx.eigenvalue, cplx.probability, cplx.projector_rank, cplx.determined)
+            for attr in ("post_state", "lueders_post_state", "subsystem_post_state"):
+                a, b = getattr(real, attr), getattr(cplx, attr)
+                assert (a is None) == (b is None), attr
+                if a is not None:
+                    assert a.dims == b.dims
+                    np.testing.assert_array_max_ulp(a.amplitudes.real, b.amplitudes.real, 2)
+                    assert not np.any(a.amplitudes.imag) and not np.any(b.amplitudes.imag)
+            assert real._project().tobytes() == cplx._project().real.tobytes()
+
+
+def test_teleport_and_measure_states_stay_complex():
+    """A complex input keeps its field even when its imaginary parts are zero."""
+    from postulate_sim import commands, protocols
+    psi = commands._input_qubit(complex(0.6, 0), complex(0.8, 0))
+    assert psi.amplitudes.dtype == np.complex128
+    assert protocols.Teleportation(psi, LUEDERS).psi.amplitudes.dtype == np.complex128
+    outcome = RegisterReadout(psi, None, Observable(commands._PAULIS["x"], (2,))).outcome(0, LUEDERS)
+    assert outcome.post_state.amplitudes.dtype == np.complex128

@@ -668,6 +668,43 @@ def test_memory_error_while_the_engine_loads():
     assert probe.startswith("True ")
 
 
+@pytest.mark.parametrize("module,error", [
+    ("numpy", "ImportError"),
+    ("numpy", "AttributeError"),
+    ("numpy._core._multiarray_umath", "ImportError"),
+], ids=["numpy-import", "numpy-attribute", "numpy-extension"])
+def test_failed_engine_load_is_one_line(module, error):
+    """An ImportError or AttributeError raised while numpy and the engine
+    load, as numpy's own under a low address-space limit, ends in one line
+    with exit 1 and no traceback, and the collector is back on at exit.
+    numpy wraps a failed C extension in pages of advice; the line gives the
+    cause."""
+    finder = ("import sys\n"
+              "class Refused:\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              f"        if name == {module!r}:\n"
+              f"            raise {error}('refused: ' + name)\n"
+              "sys.meta_path.insert(0, Refused())\n")
+    code, out, err, _ = run_limited(finder + GC_PROBE, "teleport", "--trials", "3")
+    *lines, probe = err.splitlines()
+    assert (code, out) == (1, "")
+    assert lines == [f"postulate-sim: error: cannot load the engine: refused: {module}"]
+    assert probe.startswith("True ")
+
+
+def test_import_error_after_the_load_keeps_its_traceback():
+    """Only the load is guarded: an ImportError raised by a runner is a bug,
+    and its traceback shows."""
+    code, out, err, _ = run_limited(
+        "from postulate_sim import cli, commands\n"
+        "def broken(args):\n"
+        "    raise ImportError('raised by a runner')\n"
+        "commands.RUNNERS['teleport'] = broken\n"
+        "sys.exit(cli.main(['teleport', '--trials', '3']))\n")
+    assert code == 1 and out == ""
+    assert err.startswith("Traceback") and err.endswith("ImportError: raised by a runner\n")
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (("teleport", "--trials", "3"), ["postulate_sim.protocols"]),
     (("measure", "--trials", "3"), []),

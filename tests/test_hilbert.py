@@ -120,11 +120,11 @@ class TestStateVector:
         np.testing.assert_array_equal(s.amplitudes, [0, 0, 1, 0])
 
     def test_copies_a_real_vector_once(self):
-        """At the cap, a real vector becomes one 1 MiB complex buffer, which
-        never aliases the caller's array."""
+        """At the cap, a real vector becomes one 0.5 MiB real buffer (1 MiB
+        when it was made complex), which never aliases the caller's array."""
         real = np.zeros(MAX_DIM)
         real[0] = 1.0
-        assert traced_peak(lambda: StateVector(real)) <= 1.01 * 2 ** 20
+        assert traced_peak(lambda: StateVector(real)) <= 0.51 * 2 ** 20
         complex_amps = real.astype(np.complex128)
         assert not np.shares_memory(StateVector(complex_amps).amplitudes, complex_amps)
 

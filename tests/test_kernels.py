@@ -9,6 +9,7 @@ import pytest
 from postulate_sim import algorithms, kernels
 from postulate_sim.cli import MAX_TRIALS
 from postulate_sim.errors import FullRank
+from test_hilbert import traced_peak
 
 
 def _bit_matrix(n):
@@ -27,7 +28,7 @@ def _dj_dense(f_table):
 
 def _simon_dense(f_table):
     """The integer product H @ onehot over 2^n, H[j, k] = (-1)^(j.k) and
-    onehot[k, v] = [f(k) = v], as complex128."""
+    onehot[k, v] = [f(k) = v], as complex128 with a zero imaginary part."""
     size = len(f_table)
     bits = _bit_matrix(int(np.log2(size)))
     signs = 1 - 2 * ((bits @ bits.T) % 2)  # H, int64
@@ -91,8 +92,8 @@ def test_simon_amplitudes_paths_agree(n):
     tables += [rng.integers(0, 2 ** n, 2 ** n), np.zeros(2 ** n, dtype=np.int64)]
     for table in tables:
         amps = kernels.simon_state_amplitudes(table)
-        assert amps.dtype == np.complex128
-        assert amps.tobytes() == _simon_dense(table).tobytes()
+        assert amps.dtype == np.float64
+        assert amps.tobytes() == _simon_dense(table).real.tobytes()
 
 
 @pytest.mark.parametrize("n,marked,iters", [(2, [3], 1), (4, [0, 7], 2), (6, [13], 6)])
@@ -100,6 +101,14 @@ def test_grover_paths_agree(n, marked, iters):
     marked = np.asarray(marked, dtype=np.int64)
     np.testing.assert_array_equal(kernels.grover_amplitudes(n, marked, iters),
                                   _grover_loop(n, marked, iters))
+
+
+def test_grover_amplitudes_update_in_place():
+    """At n = 16 the amplitudes are 0.5 MiB, and each inversion about the
+    mean overwrites them (1.00 MiB with a new array per round)."""
+    marked = np.array([3], dtype=np.int64)
+    kernels.grover_amplitudes(4, marked, 1)  # first-call allocations are not the run's
+    assert traced_peak(lambda: kernels.grover_amplitudes(16, marked, 201)) <= 0.55 * 2 ** 20
 
 
 def test_gf2_rref_paths_agree():

@@ -748,10 +748,10 @@ class TestRegisterReadout:
 
     @pytest.mark.parametrize("mode", [LUEDERS, STRICT])
     def test_outcome_at_cap_stays_small(self, mode):
-        """A Simon n = 8 register outcome lives on 2^16 amplitudes (1 MiB per
-        state); measuring it and reading every public attribute, the
-        post-states included, holds at most the projection, which becomes
-        the post-state's buffer uncopied: 1 MiB and a little."""
+        """A Simon n = 8 register outcome lives on 2^16 real amplitudes
+        (0.5 MiB per state); measuring it and reading every public attribute,
+        the post-states included, holds at most the projection, which becomes
+        the post-state's buffer uncopied: 0.5 MiB and a little."""
         readout = alg.simon_readout(alg.simon_oracle(8, 0b10110011, np.random.default_rng(0)))
         zero = int(np.flatnonzero(readout.probabilities == 0)[0])
         nonzero = int(np.flatnonzero(readout.probabilities)[-1])
@@ -773,7 +773,7 @@ class TestRegisterReadout:
                     assert state is None and read["probability"] == 0.0
                 else:
                     # the post-state itself was traced, so the bound is not vacuous
-                    assert state.dims == (256, 256) and peak >= 2 ** 20
+                    assert state.dims == (256, 256) and peak >= state.amplitudes.nbytes
                 del out, read, state
         finally:
             tracemalloc.stop()

@@ -5,10 +5,13 @@ eigenspace of the whole space; Lueders (1951) projects onto the eigenspace
 of any rank. Where the strict rule gives a post-state, both must agree.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from postulate_sim import algorithms as alg
+from postulate_sim import kernels
 from postulate_sim.hilbert import Observable, StateVector
 from postulate_sim.measurement import RegisterReadout, SemanticsMode, build_refinement, lift
 from postulate_sim.protocols import BellKind, DegeneracyReport, Teleportation
@@ -205,3 +208,46 @@ def test_teleport_restores_under_lueders_only(seed):
     for kind in BellKind:
         res = strict.branch(kind.value)
         assert res.bob_state_before_correction is None and res.bob_state_after_correction is None
+
+
+def walsh_signs(n):
+    """(-1)^popcount(j & k) for all n-bit j (rows) and k (columns), as int64."""
+    x = np.arange(2 ** n)
+    return 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(x, x)).astype(np.int64) & 1)
+
+
+def exact_born(sums, n):
+    """Born vector of integer amplitude sums over 2^n: row j's squares, summed
+    and divided by 4^n in exact rationals, then rounded to float."""
+    return np.array([float(Fraction(int(t), 4 ** n)) for t in (sums ** 2).sum(axis=1)])
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(2, 8), st.data())
+def test_simon_born_vector_is_exact(n, data):
+    """Simon's Born vector over a random period and a shuffle of its coset
+    labels is the exact P(j) = sum_v (sum_{k: f(k)=v} (-1)^popcount(j & k))^2
+    / 4^n to the last bit: every amplitude is an integer over 2^n, so every
+    square and every sum is a dyadic rational that a double holds exactly."""
+    s = data.draw(st.integers(1, 2 ** n - 1))
+    oracle = alg.simon_oracle(n, s, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    signs, sums = walsh_signs(n), np.zeros((2 ** n, 2 ** n), dtype=np.int64)
+    for k, v in enumerate(oracle.table):
+        sums[:, v] += signs[:, k]
+    born = alg.simon_readout(oracle).probabilities
+    assert born.tobytes() == exact_born(sums, n).tobytes()
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.sampled_from((None, 0, 1)))
+def test_dj_born_vector_is_exact_within_three_ulp(n, seed, value):
+    """DJ's Born vector, balanced or constant, lies within 3 ulp of the exact
+    k(z)^2 / 4^n, k(z) = sum_x (-1)^(f(x) + popcount(x & z)), and is exactly 0
+    where k(z) is: each entry sums the squares of two amplitudes
+    k(z)/2^n * fl(1/sqrt(2)), whose rounding is the only error."""
+    oracle = (alg.balanced_oracle(n, kernels.seed_stream(seed)) if value is None
+              else alg.constant_oracle(n, value))
+    k = walsh_signs(n) @ (1 - 2 * oracle.table)
+    born, exact = alg.dj_readout(oracle).probabilities, exact_born(k[:, None], n)
+    np.testing.assert_array_max_ulp(born, exact, 3)
+    assert np.array_equal(born == 0, exact == 0)
