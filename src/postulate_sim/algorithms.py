@@ -50,10 +50,9 @@ class BooleanOracle:
     f(x) = f(y) iff y = x ^ s for a nonzero hidden period s.
     """
 
-    def __init__(self, n: int, table, kind: str):
+    def __init__(self, n: int, table):
         self.n = int(n)
         self.table = np.asarray(table, dtype=np.int64)
-        self.kind = kind
         self.hidden_period: Optional[int] = None  # set by `BooleanOracle.simon`
         self.is_constant: Optional[bool] = None  # set by `BooleanOracle.deutsch_jozsa`
         if self.table.shape != (2 ** self.n,):
@@ -63,7 +62,7 @@ class BooleanOracle:
 
     @classmethod
     def deutsch_jozsa(cls, n: int, table) -> "BooleanOracle":
-        oracle = cls(n, table, "dj")
+        oracle = cls(n, table)
         t = oracle.table
         if np.any((t != 0) & (t != 1)):
             raise InvalidOracle("DJ oracle outputs must be 0 or 1")
@@ -77,7 +76,7 @@ class BooleanOracle:
 
     @classmethod
     def simon(cls, n: int, table) -> "BooleanOracle":
-        oracle = cls(n, table, "simon")
+        oracle = cls(n, table)
         t = oracle.table
         if np.any(t < 0) or np.any(t >= 2 ** n):
             raise InvalidOracle(f"Simon oracle outputs must fit in {n} bits")
@@ -143,7 +142,7 @@ def parse_bits(text: str) -> int:
 
 
 def save_oracle(oracle: BooleanOracle, path) -> None:
-    width = 1 if oracle.kind == "dj" else oracle.n
+    width = 1 if oracle.hidden_period is None else oracle.n
     with open(path, "w") as fh:
         for x, y in enumerate(oracle.table):
             fh.write(f"{x:0{oracle.n}b} {int(y):0{width}b}\n")
@@ -206,7 +205,7 @@ def load_oracle(path, kind: str) -> BooleanOracle:
 def dj_final_state(oracle: BooleanOracle) -> StateVector:
     """Output state before the final readout: argument register x ancilla
     (|0> - |1>)/sqrt(2)."""
-    if oracle.kind != "dj":
+    if oracle.is_constant is None:
         raise InvalidOracle("dj_final_state expects a DJ oracle")
     arg = kernels.dj_argument_amplitudes(oracle.table)
     # the two ancilla columns written straight into the state's one buffer
@@ -226,7 +225,7 @@ def dj_readout(oracle: BooleanOracle) -> RegisterReadout:
 
 def simon_final_state(oracle: BooleanOracle) -> StateVector:
     """Output state over argument x function registers (n bits each)."""
-    if oracle.kind != "simon":
+    if oracle.hidden_period is None:
         raise InvalidOracle("simon_final_state expects a Simon oracle")
     # the kernel's array becomes the state's buffer uncopied
     amps = kernels.simon_state_amplitudes(oracle.table)

@@ -48,7 +48,7 @@ def _input_qubit(alpha: complex, beta: complex) -> StateVector:
     size = scale * float(norm)  # a Python float: inf past the float range, no warning
     if abs(size - 1.0) > 1e-6:
         print(f"warning: renormalizing input amplitudes (|psi| = {size:.8g})", file=sys.stderr)
-    return StateVector(np.array([alpha, beta]) / norm, (2,))
+    return StateVector._owning(np.array([alpha, beta]) / norm, (2,))
 
 
 def _draws(sampler, args) -> list[int]:

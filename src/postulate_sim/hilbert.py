@@ -56,9 +56,9 @@ class StateVector:
 
     @classmethod
     def _owning(cls, amps: np.ndarray, dims) -> "StateVector":
-        """A state over `amps`, a fresh 1-D float64 or complex128 array that
-        no one else holds: it becomes the read-only buffer, uncopied; the norm
-        is checked."""
+        """A state over `amps`, a fresh 1-D float64 or complex128 array that no
+        one else holds: it becomes the read-only buffer, uncopied, in its own number
+        field; the norm is checked. For a caller's array, `StateVector(...)` copies."""
         state = object.__new__(cls)
         state._adopt(amps, dims)
         return state
@@ -191,8 +191,9 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
 
 
 def phase_normalize(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first amplitude above `PHASE_CUTOFF` is positive real."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
+    """Rotate a global phase so the first amplitude above `PHASE_CUTOFF` is positive
+    real, in a fresh array of the input's number field: a real vector's phase is a sign."""
+    amps = np.asarray(amplitudes)
     above = np.flatnonzero(np.abs(amps) > PHASE_CUTOFF)
     if above.size == 0:
         return amps.copy()

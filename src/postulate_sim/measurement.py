@@ -49,15 +49,14 @@ class MeasurementOutcome:
     outcome (`projector_rank` > 1): `post_state` is then None and
     `lueders_post_state` records what the other semantics would have claimed.
 
-    The post-state is built on first read: the `eigenstate` under strict von
-    Neumann at rank 1 (so a forced zero-probability outcome keeps one), else
-    the renormalized projection `project()`, or None when that is 0;
-    `project` returns a fresh array, float64 for a real state read in the
-    computational basis, which is divided in place and becomes the state's
-    buffer uncopied, as does the phase-normalized eigenstate, complex128. The
-    eigenstate is the measured subsystem's basis vector, or for a whole-space
-    observable the eigenvector of a one-dimensional eigenspace (None when the
-    eigenspace is degenerate); `subsystem_post_state` reports it.
+    The post-state is built on first read. Under strict von Neumann at rank 1
+    (multiplicity 1, no rest) it is `subsystem_post_state` over the same buffer
+    (so a forced zero-probability outcome keeps one): the `eigenstate`,
+    phase-normalized in its own number field. Else it is the projection
+    `project()`, a fresh array divided in place by its norm, or None when that
+    is 0. Either array becomes the state's buffer uncopied. The eigenstate is
+    the measured subsystem's basis vector, or for a whole-space observable the
+    eigenvector of a one-dimensional eigenspace (None when it is degenerate).
     """
 
     def __init__(self, eigenvalue: float, probability: float, mode: SemanticsMode,
@@ -75,7 +74,7 @@ class MeasurementOutcome:
     @cached_property
     def _state(self) -> Optional[StateVector]:
         if self.mode is not SemanticsMode.LUEDERS and self.projector_rank == 1:
-            return StateVector._owning(phase_normalize(self._eigenstate), self._dims)
+            return self.subsystem_post_state.reshaped(self._dims)
         projected = self._project()
         norm = np.linalg.norm(projected)
         # a NaN norm fails the test too, and gives no state
@@ -96,7 +95,7 @@ class MeasurementOutcome:
     def subsystem_post_state(self) -> Optional[StateVector]:
         if self._eigenstate is None:
             return None
-        return StateVector(phase_normalize(self._eigenstate), (self._eigenstate.size,))
+        return StateVector._owning(phase_normalize(self._eigenstate), (self._eigenstate.size,))
 
     def __repr__(self):
         return (

@@ -59,7 +59,7 @@ def bell_state(kind: BellKind) -> StateVector:
         BellKind.PSI_PLUS: [0, 1, 1, 0],
         BellKind.PSI_MINUS: [0, 1, -1, 0],
     }[kind]
-    return StateVector(np.array(amps, dtype=np.complex128) * _INV_SQRT2, (2, 2))
+    return StateVector._owning(np.array(amps, dtype=np.complex128) * _INV_SQRT2, (2, 2))
 
 
 @lru_cache(maxsize=1)
@@ -95,8 +95,8 @@ class Teleportation(RegisterReadout):
             raise ValueError("teleport expects a single-qubit input state")
         # the outer product of two vectors, flattened, is their Kronecker product;
         # the sender's two qubits are grouped into one 4-dim factor
-        total = np.outer(psi_in.amplitudes, bell_state(BellKind.PHI_PLUS).amplitudes)
-        super().__init__(StateVector(total, (4, 2)), 0, bell_basis_observable())
+        total = np.outer(psi_in.amplitudes, bell_state(BellKind.PHI_PLUS).amplitudes).reshape(-1)
+        super().__init__(StateVector._owning(total, (4, 2)), 0, bell_basis_observable())
         self.blocked: Optional[DegeneracyReport] = None
         if mode is SemanticsMode.STRICT_VON_NEUMANN:
             ranks = [self.outcome(kind.value, mode).projector_rank for kind in BellKind]
@@ -109,6 +109,6 @@ class Teleportation(RegisterReadout):
         bob_before = bob_after = None
         if self.blocked is None:
             phi = self._mat[0, idx]  # the Bell factor is first, so `before` is 1
-            bob_before = StateVector(phase_normalize(phi / np.linalg.norm(phi)), (2,))
-            bob_after = StateVector(phase_normalize(gate @ bob_before.amplitudes), (2,))
+            bob_before = StateVector._owning(phase_normalize(phi / np.linalg.norm(phi)), (2,))
+            bob_after = StateVector._owning(phase_normalize(gate @ bob_before.amplitudes), (2,))
         return TeleportResult(kind, bob_before, label, bob_after)

@@ -1,3 +1,4 @@
+import os
 import re
 from functools import lru_cache
 
@@ -181,6 +182,40 @@ class TestOracles:
             alg.load_oracle(path, "dj")
         assert str(exc.value) == f"{path}:{alg._MAX_LINES + 1}: more than {alg._MAX_LINES} lines"
 
+    def test_table_shape_checked(self):
+        with pytest.raises(InvalidOracle) as exc:
+            alg.BooleanOracle(2, [0, 1, 0])
+        assert str(exc.value) == "expected 4 table entries for n=2, got (3,)"
+
+    def test_simon_file_outputs_must_fit_n_bits(self, tmp_path):
+        path = tmp_path / "oracle.txt"
+        path.write_text("0 10\n1 10\n")
+        with pytest.raises(InvalidOracle) as exc:
+            alg.load_oracle(path, "simon")
+        assert str(exc.value) == "Simon oracle outputs must fit in 1 bits"
+
+    def test_file_kind_and_contents_checked(self, tmp_path):
+        """An unknown kind, a file that is not regular (a FIFO, which opens at
+        once) and a file of comments only are each rejected by name."""
+        path = tmp_path / "comments.txt"
+        path.write_text("# no entries\n\n#\n")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for args, message in [((path, "grover"), "unknown oracle kind 'grover'"),
+                              ((fifo, "dj"), f"{fifo}: not a regular file"),
+                              ((path, "dj"), f"{path}: empty oracle file")]:
+            with pytest.raises(InvalidOracle) as exc:
+                alg.load_oracle(*args)
+            assert str(exc.value) == message
+
+    def test_final_states_check_the_oracle_kind(self):
+        with pytest.raises(InvalidOracle) as exc:
+            alg.dj_final_state(alg.simon_oracle(2, 1))
+        assert str(exc.value) == "dj_final_state expects a DJ oracle"
+        with pytest.raises(InvalidOracle) as exc:
+            alg.simon_final_state(alg.constant_oracle(2))
+        assert str(exc.value) == "simon_final_state expects a Simon oracle"
+
     def test_file_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("00 0\n01 1\n")
@@ -271,6 +306,18 @@ class TestDeutschJozsa:
             kron = np.kron(kernels.dj_argument_amplitudes(oracle.table), [INV_SQRT2, -INV_SQRT2])
             state = alg.dj_final_state(oracle)
             assert state.amplitudes.tobytes() == kron.tobytes()
+
+    def test_subsystem_post_state_at_cap(self):
+        """At n = 15 an outcome's eigenstate is a basis vector of the 2^15-level
+        register: phase-normalized into the state's own float64 buffer, it
+        peaks at 0.53 MiB beside its basis column (1.25 MiB with a complex
+        eigenstate and its copy)."""
+        readout = alg.dj_readout(alg.constant_oracle(15, 0))
+        readout.outcome(0, STRICT).subsystem_post_state  # first-call allocations
+        peak = traced_peak(lambda: readout.outcome(0, STRICT).subsystem_post_state)
+        assert peak <= 0.6 * 2 ** 20
+        state = readout.outcome(0, STRICT).subsystem_post_state
+        assert state.dims == (2 ** 15,) and state.amplitudes.dtype == np.float64
 
     def test_factorizes_across_ancilla_cut(self):
         rng = np.random.default_rng(12)
@@ -475,6 +522,32 @@ class TestGrover:
         the weights were summed into a second array)."""
         alg.grover_readout(4, [3])  # first-call allocations are not the run's
         assert traced_peak(lambda: alg.grover_readout(16, [3])) <= 1.05 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [3, 10, 16])
+    def test_strict_post_state_is_the_subsystem_eigenstate(self, n):
+        """Rank 1 means multiplicity 1 and no rest, so the strict post-state is
+        the eigenstate that `subsystem_post_state` holds: one float64 buffer."""
+        readout, _ = alg.grover_readout(n, [3])
+        for first in ("post_state", "subsystem_post_state"):
+            out = readout.outcome(3, STRICT)
+            getattr(out, first)
+            assert out.projector_rank == 1
+            state = out.post_state
+            assert state.amplitudes.dtype == np.float64
+            assert np.shares_memory(state.amplitudes, out.subsystem_post_state.amplitudes)
+            assert np.flatnonzero(state.amplitudes).tolist() == [3] and state.amplitudes[3] == 1
+
+    def test_strict_outcome_at_cap_builds_one_eigenstate(self):
+        """At n = 16 a strict outcome with both its states read holds the
+        0.5 MiB basis column and one 0.5 MiB float64 eigenstate: 1.06 MiB
+        (3.50 MiB with a complex eigenstate built twice, one of them copied)."""
+        readout, _ = alg.grover_readout(16, [3])
+        readout.outcome(3, STRICT).post_state  # first-call allocations are not the outcome's
+
+        def both():
+            out = readout.outcome(3, STRICT)
+            return out.post_state, out.subsystem_post_state
+        assert traced_peak(both) <= 1.1 * 2 ** 20
 
     def test_mode_independent(self):
         readout, marked = alg.grover_readout(3, [5, 2, 5])

@@ -447,6 +447,25 @@ class TestErrors:
     def test_dj_without_inputs_exit_1(self, capsys):
         assert cli.main(["dj"]) == 1
 
+    def test_marked_must_be_integers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["grover", "--n", "2", "--marked", "1,x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.splitlines()[-1] == ("postulate-sim grover: error: argument "
+                                                 "--marked: expected comma-separated integers, "
+                                                 "got '1,x'")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("grover", "--n", "0", "--marked", "0"), "register width must be >= 1, got 0"),
+        (("simon", "--n", "4"), "simon: provide --oracle or both --n and --period"),
+        (("simon", "--n", "4", "--period", "0000"),
+         "hidden period must be a nonzero 4-bit value, got 0"),
+    ], ids=["grover_n0", "simon_no_period", "simon_zero_period"])
+    def test_generated_oracle_inputs_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"postulate-sim: error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("grover", "--n", "40", "--marked", "1"),
         ("dj", "--n", "-1"),
@@ -721,6 +740,16 @@ def test_each_command_loads_only_its_engine(argv, loaded):
                                     *argv)
     assert (code, err) == (0, f"{loaded}\n")
     assert len(json.loads(out)["outcomes"]) == 3
+
+
+def test_module_entry_prints_the_version():
+    """`python -m postulate_sim.cli`, the entry README documents, runs `main`
+    through the `__main__` guard."""
+    proc = subprocess.run([sys.executable, "-m", "postulate_sim.cli", "--version"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"postulate-sim {cli.__version__}\n"
 
 
 def test_observable_choices_are_the_paulis():

@@ -109,6 +109,16 @@ class TestStateVector:
         with pytest.raises(DimensionMismatch):
             StateVector([1, 0, 0], (2, 2))
 
+    def test_rejects_a_state_past_the_cap(self):
+        amps = np.zeros(2 * MAX_DIM)
+        amps[0] = 1.0
+        with pytest.raises(DimensionMismatch) as exc:
+            StateVector(amps)
+        assert str(exc.value) == "total dimension 131072 exceeds cap 65536"
+
+    def test_repr(self):
+        assert repr(bell_phi_plus()) == "StateVector(dim=4, dims=(2, 2))"
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             KET0.amplitudes = np.array([0, 1])
@@ -387,6 +397,19 @@ class TestObservable:
         Observable(m)
         assert traced_peak(lambda: Observable(m)) < 1.6 * 2 ** 20
 
+    @pytest.mark.parametrize("matrix,dims,message", [
+        (np.zeros((2, 3)), None, "expected a square matrix, got shape (2, 3)"),
+        (np.zeros(4), None, "expected a square matrix, got shape (4,)"),
+        (np.eye(4), (2, 3), "dims (2, 3) imply dimension 6, got 4x4"),
+    ])
+    def test_rejects_a_shape_off_its_dims(self, matrix, dims, message):
+        with pytest.raises(DimensionMismatch) as exc:
+            Observable(matrix, dims)
+        assert str(exc.value) == message
+
+    def test_repr(self):
+        assert repr(Observable(np.eye(4), (2, 2))) == "Observable(dim=4, dims=(2, 2))"
+
     def test_hermiticity_defect_in_the_message(self):
         message = "max |M - M^dag| = 0.5 exceeds 1e-10"
         with pytest.raises(NotHermitian, match=re.escape(message)):
@@ -437,9 +460,24 @@ class TestPhaseNormalize:
         first = result[0 if abs(lead) > 1e-12 else 1]
         assert first.real > 0 and abs(first.imag) <= 1e-15 * first.real
 
+    def test_real_vector_stays_real(self):
+        """A real vector's phase is a sign: the result stays float64, each
+        modulus exact, and it is the real part of the complex128 copy's result
+        to one ulp (numpy divides |c| by a complex c through its reciprocal, so
+        that phase can read 1 - 2^-53)."""
+        rng = np.random.default_rng(29)
+        for dim in (1, 2, 5, 64):
+            for _ in range(20):
+                v = rng.normal(size=dim)
+                v[: rng.integers(0, dim + 1)] *= rng.choice([0.0, 1e-13, 1e-12])
+                result = phase_normalize(v)
+                assert result.dtype == np.float64
+                np.testing.assert_array_equal(np.abs(result), np.abs(v))
+                np.testing.assert_array_max_ulp(result, phase_normalize(v.astype(complex)).real)
+
     @pytest.mark.parametrize("v", [np.zeros(4), np.array([1e-13, -1e-12j, 0.0]), np.array([])])
     def test_all_below_cutoff_is_a_copy(self, v):
         result = phase_normalize(v)
         np.testing.assert_array_equal(result, _phase_normalize_loop(v))
-        assert result.dtype == np.complex128
+        assert result.dtype == v.dtype
         assert not np.shares_memory(result, v)

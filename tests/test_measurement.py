@@ -161,6 +161,11 @@ class TestBornProbability:
 
 
 class TestMeasure:
+    def test_outcome_repr(self):
+        outcome = RegisterReadout(StateVector([0.6, 0.8]), 0).outcome(1, LUEDERS)
+        assert repr(outcome) == ("MeasurementOutcome(eigenvalue=1.0, probability=0.64, "
+                                 "determined=True)")
+
     def test_nondegenerate_modes_agree(self):
         plus = StateVector([INV_SQRT2, INV_SQRT2])
         rng = np.random.default_rng(5)

@@ -164,3 +164,13 @@ def test_export_drift_detected():
 def test_all_matches_the_package_namespace():
     """`__all__` lists exactly the public names the package binds."""
     assert export_drift(postulate_sim) == ([], [])
+
+
+def test_child_only_lines_match_one_place():
+    """Each line that `tests/line_reach.py` lists as run only in a child
+    process still occurs once in its module, and the test named for it exists."""
+    import line_reach
+    for module, lines, _, test in line_reach.CHILD_ONLY:
+        assert len(line_reach.occurrences(module, lines)) == 1, (module, lines[0])
+        path, *names = test.split("::")
+        assert f"def {names[-1]}(" in (Path(__file__).parent / path).read_text(), test
