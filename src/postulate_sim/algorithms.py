@@ -157,11 +157,13 @@ def load_oracle(path, kind: str) -> BooleanOracle:
         raise InvalidOracle(f"unknown oracle kind {kind!r}")
     entries = {}
     n = None
-    # O_NONBLOCK: a FIFO with no writer opens at once instead of blocking,
-    # and is then rejected with every other file that is not regular
-    with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise InvalidOracle(f"{path}: not a regular file")
+    # O_NONBLOCK: a FIFO with no writer opens at once; the kind is read on the
+    # descriptor, before `open` could refuse a directory in words of its own
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise InvalidOracle(f"{path}: not a regular file")
+    with open(fd) as fh:
         for lineno, line in enumerate(iter(lambda: fh.readline(_MAX_LINE + 1), ""), 1):
             if lineno > _MAX_LINES:
                 raise InvalidOracle(f"{path}:{lineno}: more than {_MAX_LINES} lines")

@@ -16,11 +16,13 @@ from .errors import EXIT_BLOCKED, EXIT_OK, PostulateSimError
 from .hilbert import Observable, StateVector
 from .measurement import RegisterReadout, SemanticsMode
 
-_PAULIS = {
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+_S = 1 / np.sqrt(2.0)
+# each Pauli over the eigenbasis that `eigh` gives it, signed zeros included
+_PAULIS = {name: Observable.of_basis(matrix, (2,), [-1.0, 1.0], np.array(columns, complex), (1, 1))
+           for name, matrix, columns in [
+               ("x", [[0, 1], [1, 0]], [[-_S, _S], [_S, _S]]),
+               ("y", [[0, -1j], [1j, 0]], [[-_S, -_S], [complex(0, _S), complex(0, -_S)]]),
+               ("z", [[1, 0], [0, -1]], [[0, 1], [1, 0]])]}
 
 
 def _state_json(state: StateVector) -> list[list[float]]:
@@ -165,7 +167,7 @@ def _run_grover(args) -> tuple[dict, int]:
 def _run_measure(args) -> tuple[dict, int]:
     mode = SemanticsMode(args.mode)
     psi = _input_qubit(args.alpha, args.beta)
-    readout = RegisterReadout(psi, None, Observable(_PAULIS[args.observable], (2,)))
+    readout = RegisterReadout(psi, None, _PAULIS[args.observable])
 
     def entry(idx):
         outcome = readout.outcome(idx, mode)

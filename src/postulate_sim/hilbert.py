@@ -2,9 +2,9 @@
 
 States are dense float64 or complex128 amplitude vectors over a composite
 space with declared subsystem dimensions (big-endian: leftmost factor is the
-most significant index).  Observables are Hermitian matrices carrying a
-cached spectral decomposition in which near-equal eigenvalues are merged, so
-degeneracy is an explicit, queryable property.
+most significant index).  Observables are Hermitian matrices whose spectral
+decomposition is either solved once by `eigh`, near-equal eigenvalues merged,
+or stated by the code, so degeneracy is an explicit, queryable property.
 """
 from __future__ import annotations
 
@@ -101,11 +101,11 @@ class StateVector:
 class SpectralDecomposition:
     """Distinct sorted eigenvalues over one orthonormal eigenvector matrix.
 
-    Eigenvalues are merged as `spectral_decompose` decides (mean value,
-    combined eigenspace). The columns of `vectors` are grouped by eigenvalue:
-    `labels[j]` is the eigenspace index of column j, and `blocks[i]` is the
-    column slice spanning eigenspace i (a view, not a copy). A readout
-    projects through these columns; no dense projector is ever formed.
+    `spectral_decompose` merges it from `eigh` (mean value, combined
+    eigenspace), or `Observable.of_basis` states it. The columns of `vectors`
+    are grouped by eigenvalue: `labels[j]` is the eigenspace index of column
+    j, and `blocks[i]` is the column slice spanning eigenspace i (a view, not
+    a copy). A readout projects through these columns, never a dense projector.
     """
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, multiplicities):
@@ -143,6 +143,15 @@ class Observable:
         self.matrix = mat
         self.dims = dims
 
+    @classmethod
+    def of_basis(cls, matrix, dims, eigenvalues, vectors, multiplicities) -> "Observable":
+        """`matrix` over a stated basis: the sorted distinct `eigenvalues`, each on its
+        `multiplicities` consecutive orthonormal columns of `vectors`. Set on the
+        instance, it shadows the cached property: no eigensolver runs."""
+        a = cls(matrix, dims)
+        a.decomposition = SpectralDecomposition(eigenvalues, vectors, multiplicities)
+        return a
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -156,7 +165,7 @@ class Observable:
 
 
 def spectral_decompose(a: Observable) -> SpectralDecomposition:
-    """Eigendecomposition with near-degenerate eigenvalues merged.
+    """Eigendecomposition by `eigh`, with near-degenerate eigenvalues merged.
 
     Degeneracy does not depend on units: consecutive sorted eigenvalues merge
     when their gap is at most `DEGEN_TOL * max|eigenvalue|`, well above the
@@ -164,19 +173,8 @@ def spectral_decompose(a: Observable) -> SpectralDecomposition:
     group wider than that tolerance is no one eigenvalue, so it raises
     `UnresolvedDegeneracy` rather than letting chained gaps pick a verdict.
     A zero tolerance merges only exact ties, and a negative one nothing.
-
-    A diagonal matrix short-circuits the dense eigensolver: its eigenvalues
-    are the diagonal and its eigenvectors are basis vectors.
     """
-    mat = a.matrix
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat) == np.count_nonzero(diag) and np.max(np.abs(diag.imag), initial=0.0) == 0:
-        order = np.argsort(diag.real, kind="stable")
-        values = diag.real[order]
-        vectors = np.eye(mat.shape[0], dtype=np.complex128)[:, order]
-    else:
-        values, vectors = np.linalg.eigh(mat)
-
+    values, vectors = np.linalg.eigh(a.matrix)
     tol = DEGEN_TOL * float(np.max(np.abs(values)))
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
     counts = np.diff(starts, append=values.size)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .hilbert import MAX_DIM, Observable, SpectralDecomposition, StateVector, phase_normalize
+from .hilbert import MAX_DIM, Observable, StateVector, phase_normalize
 
 
 class SemanticsMode(enum.Enum):
@@ -157,8 +157,8 @@ _LIFT_DIM = 2 ** 10
 def lift(a: Observable, subsystem: int, dims) -> Observable:
     """Embed a local observable as I x ... x a x ... x I on the composite space.
 
-    `.matrix` is the dense Kronecker product. The decomposition is built from
-    `a`'s, with no eigensolver, since the eigenvectors of a Kronecker product
+    `.matrix` is the dense Kronecker product. The decomposition is stated from
+    `a`'s (`Observable.of_basis`), since the eigenvectors of a Kronecker product
     are the products of its factors' (Horn and Johnson, Topics in Matrix
     Analysis, 1991, sec. 4.2): the local eigenvalues, each with its local
     multiplicity times the dimension of the rest of the system, over the
@@ -174,14 +174,11 @@ def lift(a: Observable, subsystem: int, dims) -> Observable:
         raise DimensionMismatch(f"total dimension {dim} exceeds cap {MAX_DIM}")
     if dim > _LIFT_DIM:
         raise DimensionMismatch(f"lifted dimension {dim} exceeds the dense cap {_LIFT_DIM}")
-    lifted = Observable(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims)
     dec = a.decomposition
     vectors = np.einsum("bB,ij,cC->bicjBC", np.eye(before), dec.vectors, np.eye(after))
-    # set on the instance, it shadows the cached property: no eigensolver runs
-    lifted.decomposition = SpectralDecomposition(
-        dec.eigenvalues, vectors.reshape(lifted.dim, lifted.dim),
-        [m * before * after for m in dec.multiplicities])
-    return lifted
+    return Observable.of_basis(np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)), dims,
+                               dec.eigenvalues, vectors.reshape(dim, dim),
+                               [m * before * after for m in dec.multiplicities])
 
 
 def _split(dims, subsystem: int, a: Optional[Observable] = None) -> tuple[int, int]:
@@ -301,10 +298,10 @@ def build_refinement(a: Observable) -> RefinementObservable:
 
     The refined observable assigns the plain labels 0..N-1 to the columns of
     A's eigenvector matrix in order, so they ascend with A's eigenvalue. Those
-    columns are orthonormal by construction (the output of `eigh`, identity
-    columns for a diagonal A, or the Kronecker columns of `lift`), so they
-    are used as they are, with no QR. `refined.decomposition` comes from its
-    own `eigh` on first read, which checks C independently.
+    columns are orthonormal by construction (the output of `eigh`, or a basis
+    stated through `Observable.of_basis`, such as the Kronecker columns of
+    `lift`), so they are used as they are, with no QR. `refined.decomposition`
+    comes from its own `eigh` on first read, which checks C independently.
     """
     dec = a.decomposition
     # one (dim, dim) temporary beyond C. The product is formed conjugated,

@@ -196,17 +196,21 @@ class TestOracles:
 
     def test_file_kind_and_contents_checked(self, tmp_path):
         """An unknown kind, a file that is not regular (a FIFO, which opens at
-        once) and a file of comments only are each rejected by name."""
+        once, or a directory) and a file of comments only are each rejected by
+        name."""
         path = tmp_path / "comments.txt"
         path.write_text("# no entries\n\n#\n")
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         for args, message in [((path, "grover"), "unknown oracle kind 'grover'"),
                               ((fifo, "dj"), f"{fifo}: not a regular file"),
+                              ((tmp_path, "simon"), f"{tmp_path}: not a regular file"),
                               ((path, "dj"), f"{path}: empty oracle file")]:
+            open_fds = len(os.listdir("/dev/fd"))
             with pytest.raises(InvalidOracle) as exc:
                 alg.load_oracle(*args)
             assert str(exc.value) == message
+            assert len(os.listdir("/dev/fd")) == open_fds  # a refused file is closed
 
     def test_final_states_check_the_oracle_kind(self):
         with pytest.raises(InvalidOracle) as exc:
@@ -614,5 +618,5 @@ def test_teleport_and_measure_states_stay_complex():
     psi = commands._input_qubit(complex(0.6, 0), complex(0.8, 0))
     assert psi.amplitudes.dtype == np.complex128
     assert protocols.Teleportation(psi, LUEDERS).psi.amplitudes.dtype == np.complex128
-    outcome = RegisterReadout(psi, None, Observable(commands._PAULIS["x"], (2,))).outcome(0, LUEDERS)
+    outcome = RegisterReadout(psi, None, commands._PAULIS["x"]).outcome(0, LUEDERS)
     assert outcome.post_state.amplitudes.dtype == np.complex128

@@ -130,11 +130,12 @@ def report_digest(code, out):
 # sha256 of (exit code, stdout) per argv, recorded before the trial loops
 # drew from one prepared state: any change to the draw order or to the report
 # bytes shows here. The two teleport digests were re-recorded when the Bell
-# basis became a local readout, which moved only the rounding of
-# born_probabilities and fidelity
+# basis became a local readout, and again when it was stated instead of
+# solved by `eigh`; each time only the rounding of born_probabilities and
+# fidelity moved
 PINNED_REPORTS = {
     ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8", "--trials", "50", "--seed", "11"):
-        "a8403eefb8f936d661388e87d39ae1082775240b22b8f6c33e12ac33ccce021a",
+        "bd3268917d77f055c2e4b469b32ab4e52064effc85f15fa3a899d1282ee8dec5",
     ("grover", "--n", "3", "--marked", "2,5", "--trials", "20", "--seed", "4"):
         "31cbbc37dc0c7c2d30c6d121c61ab03d7ac84db153aa8e9863213fdab63e279d",
     ("measure", "--observable", "x", "--alpha", "0.6,0", "--beta", "0.8,0",
@@ -148,10 +149,26 @@ PINNED_REPORTS = {
         "40abd283d1ba91fd97c4ac1def43d937df1c7492cad3e49769c03507ff247a02",
     ("teleport", "--mode", "von-neumann", "--alpha", "0.6,0", "--beta", "0.8,0",
      "--trials", "40", "--seed", "2"):
-        "94669303478d996c37d2ba1bbc6a775405096d6b6bc738e7b09dd4af6a5326f7",
+        "553eddbe9fe0444dbc211e4ec4662513082e80f9f1cbf6232b39e0800c533d1a",
     ("measure", "--mode", "von-neumann", "--observable", "y", "--alpha", "0.6,0",
      "--beta", "0,0.8", "--trials", "30", "--seed", "8"):
         "b741c6f83537aa020a6a791b52bd7bf53ad7e80db0faf6b0e81a830794d0f5f1",
+}
+
+
+# `measure` over each Pauli in both modes, on a complex input, recorded while
+# `eigh` still solved the Paulis: their stated bases must keep these bytes
+MEASURE_REPORTS = {
+    ("measure", "--observable", name, "--mode", mode, "--alpha", "0.48,0.64",
+     "--beta", "-0.36,0.48", "--trials", "30", "--seed", "5"): digest
+    for name, mode, digest in [
+        ("x", "lueders", "99c3541bc5fbaaee6e74b6ce60114d6c3da0ca2d38f5a343a8aa5b42237dc9b6"),
+        ("x", "von-neumann", "71f1503cd0ef98b5b18841e3e3a8ad4b5f9f1c737b54447576ce0fdaa152ecb5"),
+        ("y", "lueders", "bc0970824e46d5cf622cb0600b17558186e325c742085a6d25f658c039ebaa7f"),
+        ("y", "von-neumann", "f17005584785999031905f2314a6e4b1df227425162725f781f33aa6d8f45ba9"),
+        ("z", "lueders", "01e312c9c834fc753bef08ad6802b18cc69fc145d7bc2c87644fa4dbc0786bd8"),
+        ("z", "von-neumann", "3833b1e149b4b4f8740c2eea17a4e4de6c4c4c2d2eb3e3ed3f275c893ba0d925"),
+    ]
 }
 
 
@@ -165,6 +182,22 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
         assert report_digest(code, first) == PINNED_REPORTS[argv]
+
+    def test_no_report_needs_an_eigensolver(self, capsys, monkeypatch, tmp_path):
+        """Every basis a command reads is stated: with `eigh` raising, each
+        pinned report and `measure` over every Pauli in both modes keep their
+        bytes. The Bell observable is built afresh, under the raising `eigh`."""
+        from postulate_sim import protocols
+        monkeypatch.chdir(tmp_path)
+        alg.save_oracle(alg.simon_oracle(3, 0b101, np.random.default_rng(6)), "s101.txt")
+
+        def refuse(_):
+            raise AssertionError("a CLI run called np.linalg.eigh")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        protocols.bell_basis_observable.cache_clear()
+        for argv, digest in {**PINNED_REPORTS, **MEASURE_REPORTS}.items():
+            code, out, _ = run_cli(capsys, *argv)
+            assert report_digest(code, out) == digest, argv
 
     def test_json_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "grover", "--n", "2", "--marked", "1", "--trials", "5")

@@ -258,7 +258,9 @@ class TestSpectralDecompose:
         dec = Observable(np.diag([2.0, 0.0, 2.0, 1.0])).decomposition
         np.testing.assert_array_equal(dec.eigenvalues, [0, 1, 2])
         assert dec.multiplicities == (1, 1, 2)
-        np.testing.assert_array_equal(dec.vectors, np.eye(4)[:, [1, 3, 0, 2]])
+        # `eigh` picks the order within the tied eigenspace; its projector is fixed
+        for proj, diagonal in zip(projectors(dec), [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]]):
+            np.testing.assert_array_equal(proj, np.diag(diagonal))
         assert all(np.shares_memory(b, dec.vectors) for b in dec.blocks)
 
     @pytest.mark.parametrize("matrix,diagonal", [
@@ -270,12 +272,17 @@ class TestSpectralDecompose:
         ([[0, 0, 0], [0, 3, -0.5j], [0, 0.5j, 0]], False),
     ])
     def test_only_a_diagonal_matrix_skips_eigh(self, monkeypatch, matrix, diagonal):
+        """No matrix skips `eigh` any more: the diagonal shortcut went, and each
+        matrix takes one `eigh`. A diagonal one keeps its distinct diagonal
+        entries as its eigenvalues, exactly."""
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
         a = Observable(matrix)
         dec = spectral_decompose(a)
-        assert len(calls) == (0 if diagonal else 1)
+        assert len(calls) == 1
+        if diagonal:
+            np.testing.assert_array_equal(dec.eigenvalues, np.unique(np.diagonal(a.matrix).real))
         recon = sum(ev * p for ev, p in zip(dec.eigenvalues, projectors(dec)))
         np.testing.assert_allclose(recon, a.matrix, atol=1e-12)
 
@@ -296,6 +303,52 @@ class TestSpectralDecompose:
                 for j in range(i):
                     np.testing.assert_allclose(p @ projs[j], 0, atol=1e-9)
             assert list(dec.eigenvalues) == sorted(dec.eigenvalues)
+
+
+def stated_basis(name):
+    """An observable whose basis `src/` states: the Bell basis, or a Pauli of
+    `measure` ("x", "y" or "z")."""
+    from postulate_sim import commands
+    from postulate_sim.protocols import bell_basis_observable
+    return bell_basis_observable() if name == "bell" else commands._PAULIS[name]
+
+
+class TestStatedBases:
+    """A basis stated through `Observable.of_basis` is an orthonormal
+    eigenbasis of the matrix, and reading it runs no eigensolver."""
+
+    def test_of_basis_runs_no_eigensolver(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigh ran")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        vectors = np.eye(3)[:, [2, 0, 1]]
+        a = Observable.of_basis(np.diag([1.0, 2.0, 0.0]), (3,), [0.0, 1.0, 2.0], vectors, (1, 1, 1))
+        assert a.decomposition.vectors is vectors and a.decomposition.multiplicities == (1, 1, 1)
+        with pytest.raises(NotHermitian):
+            Observable.of_basis([[0, 1], [0, 0]], (2,), [0.0], np.eye(2), (2,))
+
+    @pytest.mark.parametrize("name", ["bell", "x", "y", "z"])
+    def test_stated_basis_decomposes_the_matrix(self, name):
+        a = stated_basis(name)
+        dec = a.decomposition
+        vectors = dec.vectors
+        assert sum(dec.multiplicities) == a.dim, name
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(a.dim), rtol=0, atol=1e-15)
+        spectrum = np.repeat(dec.eigenvalues, dec.multiplicities)
+        np.testing.assert_allclose((vectors * spectrum) @ vectors.conj().T, a.matrix,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["x", "y", "z"])
+    def test_paulis_state_the_columns_eigh_gives(self, name):
+        """Each Pauli states the eigenvalues and columns that `eigh` returns
+        for its matrix, signed zeros included, so `measure` reports what it
+        reported when `eigh` ran."""
+        a = stated_basis(name)
+        values, vectors = np.linalg.eigh(a.matrix)
+        np.testing.assert_array_equal(a.decomposition.eigenvalues, values)
+        assert a.decomposition.multiplicities == (1, 1)
+        assert a.decomposition.vectors.dtype == vectors.dtype
+        assert a.decomposition.vectors.tobytes() == vectors.tobytes()
 
 
 def scaled_spectra():

@@ -210,6 +210,19 @@ def test_teleport_restores_under_lueders_only(seed):
         assert res.bob_state_before_correction is None and res.bob_state_after_correction is None
 
 
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.integers(0, 2 ** 32 - 1))
+def test_bell_outcomes_are_equally_likely_to_the_bit(seed):
+    """Each Bell outcome has probability 1/4 whatever the input qubit. Read
+    through the exact Bell states, the four probabilities are one float, in
+    either semantics: no Bell outcome is favoured by rounding."""
+    psi = random_state(np.random.default_rng(seed), 2, (2,))
+    for mode in (LUEDERS, STRICT):
+        probabilities = Teleportation(psi, mode).probabilities
+        assert probabilities.shape == (4,)
+        assert np.all(probabilities == probabilities[0]), (mode, probabilities.tolist())
+
+
 def walsh_signs(n):
     """(-1)^popcount(j & k) for all n-bit j (rows) and k (columns), as int64."""
     x = np.arange(2 ** n)
